@@ -1,10 +1,11 @@
 //! Experiment E16 — DRC scaling, sweep vs pairwise.
 //!
 //! `drc::check` sweeps a `GeomIndex`: each box visits only neighbours
-//! within its rule distance along the sweep axis, O(n log n + k). The
-//! retired all-pairs reference (`drc::check_pairwise`) visits every
-//! pair, O(n²). On a 2-D tiled layout the pairwise cost quadruples per
-//! size doubling while the sweep stays near-linear; the equivalence
+//! within its rule distance on both axes (the index's across strips
+//! and along window), O(n log n + k). The retired all-pairs reference
+//! (`drc::check_pairwise`) visits every pair, O(n²). On a 2-D tiled
+//! layout the pairwise cost quadruples per size doubling while the
+//! sweep stays near-linear; the equivalence
 //! proptests in `crates/layout/tests/drc_equivalence.rs` prove both
 //! return the identical violation list.
 

@@ -3,10 +3,17 @@
 //! overconstraint); the visibility scan suppresses them. The y-axis sweep
 //! runs on the same geometry with no transposed copy, so its cost tracks
 //! the x sweep.
+//!
+//! The `scanline/lattice` rows time the visibility sweep on the E23
+//! megachip lattice at 10⁴, 4×10⁴ and 10⁵ boxes (reported per box, so a
+//! superlinear layer shows as a rising ns/box), plus `Threads(2)`
+//! against serial at 10⁵; the threaded system is asserted identical to
+//! the serial one before timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rsg_bench::megachip_flat;
 use rsg_compact::par::Parallelism;
-use rsg_compact::scanline::{generate, generate_with, Method, Prune};
+use rsg_compact::scanline::{generate, generate_par, generate_with, Method, Prune};
 use rsg_geom::{Axis, Rect};
 use rsg_layout::{Layer, Technology};
 use std::hint::black_box;
@@ -90,6 +97,39 @@ fn bench_methods(c: &mut Criterion) {
                 )
             })
         });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("scanline/lattice");
+    for n in [10_000usize, 40_000, 100_000] {
+        let boxes = megachip_flat(n);
+        println!("scanline/lattice: n={n} -> {} boxes", boxes.len());
+        let mut runs = vec![(format!("{n}"), Parallelism::Serial)];
+        if n == 100_000 {
+            let serial = generate(&boxes, &rules, Method::Visibility, Axis::X).0;
+            let par = generate_par(
+                &boxes,
+                &rules,
+                Method::Visibility,
+                Axis::X,
+                Parallelism::Threads(2),
+            )
+            .0;
+            assert_eq!(par.constraints(), serial.constraints(), "threads2 diverged");
+            runs.push((format!("{n}/threads2"), Parallelism::Threads(2)));
+        }
+        for (id, par) in runs {
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    black_box(
+                        generate_par(&boxes, &rules, Method::Visibility, Axis::X, par)
+                            .0
+                            .constraints()
+                            .len(),
+                    )
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -18,15 +18,16 @@
 //! the masking cells, §6.4.1), and connectivity constraints keeping
 //! same-layer boxes that touched in the input touching in the output.
 //!
-//! Candidate pairs are enumerated through the [`GeomIndex`] bucket
-//! columns rather than an all-pairs scan, and the emitted spacing set is
-//! put through a transitive-reduction prune ([`Prune::Apply`]): a
-//! spacing edge `a → b` already implied by a tighter chain through an
-//! interposed box `k` (`a → k`, `k`'s exact width, `k → b`) is dropped
-//! before the solver ever sees it. Pruning is *solution-identical* —
-//! the feasible region is unchanged, so solved positions, extents, and
-//! feasibility verdicts match the unpruned system exactly (DESIGN.md,
-//! "Constraint pruning + sweep arenas").
+//! Candidate pairs are enumerated through the [`GeomIndex`] strips the
+//! low box's across range overlaps rather than an all-pairs scan, and
+//! the emitted spacing set is put through a transitive-reduction prune
+//! ([`Prune::Apply`]): a spacing edge `a → b` already implied by a
+//! tighter chain through an interposed box `k` (`a → k`, `k`'s exact
+//! width, `k → b`) is dropped before the solver ever sees it. Pruning
+//! is *solution-identical* — the feasible region is unchanged, so
+//! solved positions, extents, and feasibility verdicts match the
+//! unpruned system exactly (DESIGN.md, "Constraint pruning + sweep
+//! arenas").
 //!
 //! The paper describes the x sweep only and obtains y by transposing the
 //! whole layout; here the sweep axis is a parameter, so the y pass runs
@@ -229,19 +230,16 @@ pub(crate) fn append_constraints_with(
     // belongs to the masking cells, not the compactor (§6.4.1).
     //
     // Candidates come from the box's own layer bucket: low edge in
-    // `[lo, hi]` (ascending walk, early exit past `hi`) and closed
-    // across-overlap (strict with slack 1 on integer coordinates) is
-    // exactly "touches, not strictly below" — sorted back to input
-    // order to match the historical j-ascending emission.
+    // `[lo, hi]` and closed across-overlap (strict with slack 1 on
+    // integer coordinates) is exactly "touches, not strictly below" —
+    // sorted back to input order to match the historical j-ascending
+    // emission.
     for (i, &(layer_a, ra)) in boxes.iter().enumerate() {
         cand.clear();
         let lo = ra.lo_along(axis);
         let hi = ra.hi_along(axis);
         let across = (ra.lo_across(axis), ra.hi_across(axis));
-        for k in index.ordered_after(layer_a, lo, across, 1) {
-            if boxes[k].1.lo_along(axis) > hi {
-                break;
-            }
+        for k in index.ordered_after(layer_a, lo, hi, across, 1) {
             if k != i {
                 cand.push((k, 0));
             }
@@ -358,7 +356,7 @@ fn scan_spacings(
             // `a` strictly below `b` along the axis (low edge at or past
             // `a`'s high edge), sharing an across-axis range: exactly the
             // bucket walk's membership test at slack 0.
-            for k in index.ordered_after(layer_b, from, across, 0) {
+            for k in index.ordered_after(layer_b, from, i64::MAX, across, 0) {
                 if k != i {
                     cand.push((k, spacing));
                 }

@@ -8,10 +8,11 @@
 //! generator uses (touching same-layer boxes are one electrical net).
 //!
 //! [`check`] runs as a sweep over a [`GeomIndex`]: each box only visits
-//! neighbours within its rule distance along the sweep axis, costing
-//! O(n log n + k) where k is the number of near pairs, instead of the
-//! all-pairs double loop, which survives as [`check_pairwise`] (the
-//! reference the equivalence proptests and the `drc` bench compare
+//! neighbours within its rule distance on both axes — the index walks
+//! only the across strips and the along window the rule reaches —
+//! costing O(n log n + k) where k is the number of near pairs, instead
+//! of the all-pairs double loop, which survives as [`check_pairwise`]
+//! (the reference the equivalence proptests and the `drc` bench compare
 //! against). Both produce the identical violation list, in the
 //! identical order.
 
@@ -89,9 +90,9 @@ pub fn check_flat(flat: &FlatLayout, rules: &DesignRules) -> Vec<Violation> {
 }
 
 /// The sweep checker proper: every box queries the index for neighbours
-/// on each interacting layer within the rule distance along the sweep
-/// axis; any pair violating does so within that window, because the L∞
-/// gap bounds the along-axis gap from above.
+/// on each interacting layer within L∞ distance of the rule; any pair
+/// violating does so within that window, because the spacing gap is the
+/// L∞ gap, so the query filter is exact.
 pub fn check_indexed(index: &GeomIndex<Layer>, rules: &DesignRules) -> Vec<Violation> {
     check_indexed_par(index, rules, Parallelism::Serial)
 }
@@ -187,8 +188,9 @@ fn spacing_sweep(
             let Some(required) = rules.min_spacing(la, lb) else {
                 continue;
             };
-            let span = (ra.lo_along(axis), ra.hi_along(axis));
-            for j in index.neighbors_within(lb, span, required) {
+            let along = (ra.lo_along(axis), ra.hi_along(axis));
+            let across = (ra.lo_across(axis), ra.hi_across(axis));
+            for j in index.neighbors_within(lb, along, across, required) {
                 if j <= i {
                     continue; // each unordered pair reported once, as (i, j<i ... j>i)
                 }
@@ -210,8 +212,8 @@ fn spacing_sweep(
                 }
             }
         }
-        // Window queries return neighbours bucket by bucket in sweep
-        // order; re-sort so the output order matches the pairwise
+        // Window queries return neighbours layer by layer and strip by
+        // strip; re-sort so the output order matches the pairwise
         // reference exactly. Only spacing violations reach `near`.
         near.sort_by_key(|v| match v {
             Violation::Spacing { b, .. } => *b,

@@ -33,7 +33,10 @@
 //! walks a whole chip bottom-up (children before callers, as the paper
 //! composes assemblies from interfaces) so multi-level layouts like the
 //! multiplier's `array`/`topregs`/`thewholething` stack compact level by
-//! level. `rsg_hpla::compactor::compact_chip` and
+//! level. The incremental session
+//! ([`crate::incremental::CompactSession`]) runs on the same walk, with
+//! its caches in front of each cell's compaction.
+//! `rsg_hpla::compactor::compact_chip` and
 //! `rsg_mult::compactor::compact_chip` wire the leaf pass and this pass
 //! together.
 
@@ -49,7 +52,7 @@ use rsg_layout::{
     flatten, CellDefinition, CellId, CellTable, DesignRules, Layer, LayoutError, LayoutObject,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tuning knobs for the hierarchical compactor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,7 +450,7 @@ pub(crate) trait CompactHooks {
         cell: CellId,
         orientation: Orientation,
         rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError>;
+    ) -> Result<(Arc<CellAbstract>, u64), HierError>;
 
     /// Whether the cross-run reuse machinery (keys, records, memo) runs.
     fn enabled(&self) -> bool {
@@ -510,7 +513,7 @@ impl CompactHooks for NoHooks {
         cell: CellId,
         orientation: Orientation,
         rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
+    ) -> Result<(Arc<CellAbstract>, u64), HierError> {
         Ok((
             Arc::new(derive_abstract(table, cell, orientation, rules)?),
             0,
@@ -847,25 +850,31 @@ pub fn compact_chip_with_library(
     solver: &dyn Solver,
     opts: &HierOptions,
 ) -> Result<ChipCompaction, ChipError> {
-    let mut compacted = table.clone();
-    for result in &leaf {
-        for cell in &result.cells {
-            let id = compacted.lookup(cell.name()).ok_or_else(|| {
-                ChipError::Hier(HierError::Layout(LayoutError::UnknownCell(
-                    cell.name().to_owned(),
-                )))
-            })?;
-            let Some(slot) = compacted.get_mut(id) else {
-                return Err(ChipError::Hier(HierError::Internal(format!(
-                    "cell `{}` vanished between lookup and substitution",
-                    cell.name()
-                ))));
-            };
-            *slot = cell.clone();
-        }
-    }
+    let compacted = substitute_library(table, &leaf)?;
     let chip = compact_hierarchy(&compacted, top, rules, solver, opts)?;
     Ok(ChipCompaction { chip, leaf })
+}
+
+/// A copy of `table` with every leaf-pass cell substituted for the
+/// definition of the same name — the library step of both chip flows.
+pub(crate) fn substitute_library(
+    table: &CellTable,
+    leaf: &[crate::leaf::CompactionResult],
+) -> Result<CellTable, HierError> {
+    let mut compacted = table.clone();
+    for cell in leaf.iter().flat_map(|result| &result.cells) {
+        let id = compacted
+            .lookup(cell.name())
+            .ok_or_else(|| LayoutError::UnknownCell(cell.name().to_owned()))?;
+        let Some(slot) = compacted.get_mut(id) else {
+            return Err(HierError::Internal(format!(
+                "cell `{}` vanished between lookup and substitution",
+                cell.name()
+            )));
+        };
+        *slot = cell.clone();
+    }
+    Ok(compacted)
 }
 
 /// Pins and pitch classes of one sweep axis, derived once from the input
@@ -1728,108 +1737,173 @@ pub fn compact_hierarchy(
     solver: &dyn Solver,
     opts: &HierOptions,
 ) -> Result<ChipLayout, HierError> {
-    let mut out_table = table.clone();
-    let mut order = Vec::new();
-    let mut mark: HashMap<CellId, u8> = HashMap::new();
-    dfs_order(table, top, &mut mark, &mut order)?;
     let threads = opts.parallelism.threads();
-    if threads <= 1 {
-        // Serial reference walk: bottom-up, stop at the first failure.
-        let mut cells = Vec::new();
-        for cell in order {
-            let def = out_table.require(cell)?;
-            if def.instances().next().is_none() {
-                continue; // leaf: the leaf compactor's business
-            }
-            let name = def.name().to_owned();
-            let outcome = compact_cell(&out_table, cell, rules, solver, opts)?;
-            if !outcome.converged {
-                return Err(diverged_error(&name, opts));
-            }
-            let Some(slot) = out_table.get_mut(cell) else {
-                return Err(vanished_error(&name));
-            };
-            *slot = outcome.cell.clone();
-            cells.push((name, outcome));
-        }
-        return Ok(ChipLayout {
-            table: out_table,
-            top,
-            cells,
-        });
+    walk_hierarchy(table, top, rules, solver, opts, threads, &mut NoHooks)
+}
+
+/// One flow's side of [`walk_hierarchy`]: the plain walk ([`NoHooks`])
+/// or `incremental::CompactSession`. The defaults are the plain walk's:
+/// no leaf bookkeeping, no cache (every assembly a miss), nothing to
+/// merge back.
+pub(crate) trait WalkFlow: Sync {
+    /// A miss's private state, owned by one worker while the cell
+    /// compacts, then handed back to [`WalkFlow::merge`].
+    type Miss: Send + Default;
+    /// The hooks a miss compacts under.
+    type Hooks<'a>: CompactHooks
+    where
+        Self: 'a;
+
+    /// Sees each leaf definition, in DFS order, before the first wave.
+    fn leaf(&mut self, _def: &CellDefinition, _cell: CellId) -> Result<(), HierError> {
+        Ok(())
     }
 
-    // Dependency-level scheduler: group the bottom-up order into waves of
-    // assembly cells whose referenced definitions are all done, and fan
-    // each wave across workers. Every cell reads only definitions below
-    // it, all of which were re-placed in earlier waves, so each cell's
-    // computation sees exactly the table state the serial walk would give
-    // it — the outputs are bit-identical; only wall-clock changes.
-    let levels = dependency_levels(table, &order)?;
-    let pos: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    /// Step 1, serial: an assembly's cached outcome (`Ok(Ok(_))`), or
+    /// the state its compaction runs with (`Ok(Err(_))`).
+    fn lookup(
+        &mut self,
+        _def: &CellDefinition,
+        _cell: CellId,
+    ) -> Result<Result<HierOutcome, Self::Miss>, HierError> {
+        Ok(Err(Self::Miss::default()))
+    }
+
+    /// Step 2, on a worker: the hooks of one miss over the flow's shared
+    /// state.
+    fn hooks<'a>(&'a self, miss: &'a mut Self::Miss) -> Self::Hooks<'a>;
+
+    /// Step 3, serial in DFS order: folds a miss back into the flow;
+    /// `done` is its converged outcome, `None` when the cell failed.
+    fn merge(
+        &mut self,
+        _cell: CellId,
+        _miss: Self::Miss,
+        _done: Option<&HierOutcome>,
+    ) -> Result<(), HierError> {
+        Ok(())
+    }
+}
+
+impl WalkFlow for NoHooks {
+    type Miss = ();
+    type Hooks<'a> = NoHooks;
+
+    fn hooks(&self, _miss: &mut ()) -> NoHooks {
+        NoHooks
+    }
+}
+
+/// The one hierarchy scheduler, behind both [`compact_hierarchy`] and
+/// `incremental::CompactSession`. It computes the bottom-up
+/// [`dfs_order`] once and runs the assembly cells in waves; each wave
+/// looks every cell up in the flow's cache, compacts the misses on up to
+/// `threads` workers, and merges the results in DFS order.
+///
+/// With `threads > 1` the waves are the [`dependency_levels`]; otherwise
+/// each wave is one cell, in DFS order — the serial reference walk, and
+/// the only order in which a fault plan's trip counters name fixed
+/// sites. Every cell reads only definitions placed by earlier waves, so
+/// it sees the same table state under either schedule: outputs are
+/// bit-identical, only wall-clock changes.
+///
+/// A failed cell poisons its callers (skipped, never guessed). The walk
+/// returns the DFS-earliest failure — the cell a serial walk stops at —
+/// and stops once no later wave holds a DFS-earlier cell.
+pub(crate) fn walk_hierarchy<F: WalkFlow>(
+    table: &CellTable,
+    top: CellId,
+    rules: &DesignRules,
+    solver: &dyn Solver,
+    opts: &HierOptions,
+    threads: usize,
+    flow: &mut F,
+) -> Result<ChipLayout, HierError> {
+    let order = dfs_order(table, top)?;
+    let mut assemblies = Vec::new();
+    for (pos, &cell) in order.iter().enumerate() {
+        let def = table.require(cell)?;
+        if def.instances().next().is_none() {
+            flow.leaf(def, cell)?; // leaf: the leaf compactor's business
+        } else {
+            assemblies.push((pos, cell));
+        }
+    }
+    let waves = if threads > 1 {
+        dependency_levels(table, &assemblies)?
+    } else {
+        assemblies.into_iter().map(|a| vec![a]).collect()
+    };
+
+    let mut out_table = table.clone();
     let mut outcomes: HashMap<CellId, HierOutcome> = HashMap::new();
-    // Cells that failed, with their DFS position, plus the set of cells
-    // that cannot be computed because a descendant failed. The serial
-    // walk reports the DFS-earliest failing cell whose descendants all
-    // succeeded; computing every non-poisoned cell and taking the
-    // DFS-minimum failure reproduces that exact error.
-    let mut failures: Vec<(usize, HierError)> = Vec::new();
+    let mut failed: Option<(usize, HierError)> = None;
     let mut bad: HashSet<CellId> = HashSet::new();
-    for level in &levels {
-        let ready: Vec<CellId> = level
-            .iter()
-            .copied()
-            .filter(|&cell| {
-                let skip = table
-                    .get(cell)
-                    .is_some_and(|def| def.instances().any(|i| bad.contains(&i.cell)));
-                if skip {
-                    bad.insert(cell);
-                }
-                !skip
-            })
-            .collect();
-        let results = par_map(&ready, threads, |&cell| {
-            compact_cell(&out_table, cell, rules, solver, opts)
+    for (w, wave) in waves.iter().enumerate() {
+        let mut done = Vec::new();
+        let mut misses = Vec::new();
+        for &(pos, cell) in wave {
+            let def = out_table.require(cell)?;
+            if def.instances().any(|i| bad.contains(&i.cell)) {
+                bad.insert(cell);
+                continue;
+            }
+            match flow.lookup(def, cell)? {
+                Ok(hit) => done.push((cell, hit)),
+                Err(miss) => misses.push((pos, cell, Mutex::new(miss))),
+            }
+        }
+        let (shared, snapshot) = (&*flow, &out_table);
+        let results = par_map(&misses, threads, |(_, cell, miss)| {
+            let mut miss = miss.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut hooks = shared.hooks(&mut miss);
+            compact_cell_with(snapshot, *cell, rules, solver, opts, &mut hooks)
         });
-        for (&cell, result) in ready.iter().zip(results) {
-            let name = table.require(cell)?.name().to_owned();
-            let dfs_pos = pos.get(&cell).copied().unwrap_or(usize::MAX);
-            let outcome = match result {
-                Ok(Ok(o)) if o.converged => o,
-                Ok(Ok(_)) => {
-                    failures.push((dfs_pos, diverged_error(&name, opts)));
-                    bad.insert(cell);
-                    continue;
-                }
-                Ok(Err(e)) => {
-                    failures.push((dfs_pos, e));
-                    bad.insert(cell);
-                    continue;
-                }
-                Err(panic) => {
-                    failures.push((dfs_pos, HierError::Internal(panic.to_string())));
-                    bad.insert(cell);
-                    continue;
-                }
+        for ((pos, cell, miss), result) in misses.into_iter().zip(results) {
+            let result = match result {
+                Ok(Ok(o)) if o.converged => Ok(o),
+                Ok(Ok(o)) => Err(diverged_error(o.cell.name(), opts)),
+                Ok(Err(e)) => Err(e),
+                Err(panic) => Err(HierError::Internal(panic.to_string())),
             };
+            // A panicked worker may leave its miss half-updated. Merging it
+            // is still sound: the panic fails the walk, and a failed
+            // session call keeps only whole, content-addressed entries.
+            let miss = miss.into_inner().unwrap_or_else(PoisonError::into_inner);
+            flow.merge(cell, miss, result.as_ref().ok())?;
+            match result {
+                Ok(outcome) => done.push((cell, outcome)),
+                Err(e) => {
+                    bad.insert(cell);
+                    if failed.as_ref().is_none_or(|&(first, _)| pos < first) {
+                        failed = Some((pos, e));
+                    }
+                }
+            }
+        }
+        for (cell, outcome) in done {
             let Some(slot) = out_table.get_mut(cell) else {
-                return Err(vanished_error(&name));
+                return Err(vanished_error(outcome.cell.name()));
             };
             *slot = outcome.cell.clone();
             outcomes.insert(cell, outcome);
         }
-    }
-    if let Some((_, e)) = failures.into_iter().min_by_key(|&(p, _)| p) {
-        return Err(e);
-    }
-    // Reassemble the per-cell list in the serial walk's bottom-up order.
-    let mut cells = Vec::with_capacity(outcomes.len());
-    for cell in order {
-        if let Some(outcome) = outcomes.remove(&cell) {
-            cells.push((table.require(cell)?.name().to_owned(), outcome));
+        if let Some((first, _)) = &failed {
+            let mut later = waves.iter().skip(w + 1).filter_map(|wave| wave.first());
+            if later.all(|&(pos, _)| pos > *first) {
+                break;
+            }
         }
     }
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    // The per-cell list in DFS postorder, whatever the wave shape.
+    let cells = order
+        .iter()
+        .filter_map(|cell| outcomes.remove(cell))
+        .map(|o| (o.cell.name().to_owned(), o))
+        .collect();
     Ok(ChipLayout {
         table: out_table,
         top,
@@ -1848,25 +1922,20 @@ fn vanished_error(name: &str) -> HierError {
     HierError::Internal(format!("cell `{name}` vanished from the table mid-walk"))
 }
 
-/// Groups a bottom-up [`dfs_order`] into dependency levels over the
-/// assembly cells: a cell lands one level above the deepest assembly it
-/// references, so by the time a level runs, every definition it can see
-/// is final. Leaves are never scheduled (the leaf compactor's business)
-/// and don't separate levels. Within a level, cells keep their DFS
-/// order.
-pub(crate) fn dependency_levels(
+/// Groups the assembly cells of a bottom-up [`dfs_order`] (with their
+/// DFS positions) into dependency levels: a cell lands one level above
+/// the deepest assembly it references, so by the time a level runs,
+/// every definition it can see is final. Leaves are not listed and don't
+/// separate levels. Within a level, cells keep their DFS order.
+fn dependency_levels(
     table: &CellTable,
-    order: &[CellId],
-) -> Result<Vec<Vec<CellId>>, HierError> {
+    assemblies: &[(usize, CellId)],
+) -> Result<Vec<Vec<(usize, CellId)>>, HierError> {
     let mut level_of: HashMap<CellId, usize> = HashMap::new();
-    let mut levels: Vec<Vec<CellId>> = Vec::new();
-    for &cell in order {
-        let def = table.require(cell)?;
-        if def.instances().next().is_none() {
-            continue;
-        }
+    let mut levels: Vec<Vec<(usize, CellId)>> = Vec::new();
+    for &(pos, cell) in assemblies {
         let mut lvl = 0usize;
-        for inst in def.instances() {
+        for inst in table.require(cell)?.instances() {
             if let Some(&l) = level_of.get(&inst.cell) {
                 lvl = lvl.max(l + 1);
             }
@@ -1875,35 +1944,27 @@ pub(crate) fn dependency_levels(
         if levels.len() <= lvl {
             levels.resize_with(lvl + 1, Vec::new);
         }
-        levels[lvl].push(cell);
+        levels[lvl].push((pos, cell));
     }
     Ok(levels)
 }
 
-/// Bottom-up topological order of the hierarchy under `cell` (children
+/// Bottom-up topological order of the hierarchy under `top` (children
 /// before parents, each cell once). Iterative — an explicit frame stack
 /// instead of recursion, so pathologically deep hierarchies (the parser
 /// fuzz corpus builds 500-deep ones) cannot overflow the call stack.
-pub(crate) fn dfs_order(
-    table: &CellTable,
-    cell: CellId,
-    mark: &mut HashMap<CellId, u8>,
-    order: &mut Vec<CellId>,
-) -> Result<(), HierError> {
+fn dfs_order(table: &CellTable, top: CellId) -> Result<Vec<CellId>, HierError> {
     let recursive = |id: CellId| {
         let name = table.get(id).map_or("?", |c| c.name()).to_owned();
         HierError::Layout(LayoutError::RecursiveCell(name))
     };
-    match mark.get(&cell) {
-        Some(2) => return Ok(()),
-        Some(1) => return Err(recursive(cell)),
-        _ => {}
-    }
     let children = |id: CellId| -> Result<Vec<CellId>, HierError> {
         Ok(table.require(id)?.instances().map(|i| i.cell).collect())
     };
-    mark.insert(cell, 1);
-    let mut stack: Vec<(CellId, Vec<CellId>, usize)> = vec![(cell, children(cell)?, 0)];
+    // 1 = on the stack, 2 = emitted.
+    let mut mark: HashMap<CellId, u8> = HashMap::from([(top, 1)]);
+    let mut order = Vec::new();
+    let mut stack: Vec<(CellId, Vec<CellId>, usize)> = vec![(top, children(top)?, 0)];
     while let Some(frame) = stack.last_mut() {
         let (id, kids, next) = (frame.0, &frame.1, &mut frame.2);
         let Some(&child) = kids.get(*next) else {
@@ -1922,7 +1983,7 @@ pub(crate) fn dfs_order(
             }
         }
     }
-    Ok(())
+    Ok(order)
 }
 
 #[cfg(test)]

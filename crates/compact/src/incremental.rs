@@ -72,16 +72,15 @@
 use crate::backend::Solver;
 use crate::fault::{FaultPlan, FaultSite, InjectedFault};
 use crate::hier::{
-    axis_index, compact_cell_with, dependency_levels, derive_abstract, dfs_order, CellAbstract,
-    ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions, HierOutcome,
-    ReuseCounters, SweepRecord, SweepSolution,
+    axis_index, derive_abstract, substitute_library, walk_hierarchy, CellAbstract, ChipCompaction,
+    ChipError, ChipLayout, CompactHooks, HierError, HierOptions, HierOutcome, ReuseCounters,
+    SweepRecord, SweepSolution, WalkFlow,
 };
 use crate::leaf::{self, CompactionResult, LibraryJob};
-use crate::par::par_map;
 use rsg_geom::{Axis, Orientation};
-use rsg_layout::hash::{deep_hashes, hash_cell, mix, ContentHasher};
-use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules, LayoutError};
-use std::collections::{HashMap, HashSet};
+use rsg_layout::hash::{hash_cell, mix, ContentHasher};
+use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Work done (and avoided) by one session call.
@@ -240,12 +239,15 @@ fn checked_hash(def: &CellDefinition, hash_of: &HashMap<CellId, u64>) -> Result<
     });
     match missing {
         None => Ok(h),
-        Some(id) => Err(HierError::Internal(format!(
-            "cell `{}` references child {id:?} with no computed output hash \
-             (dangling or unvisited instance reference)",
-            def.name()
-        ))),
+        Some(id) => Err(unhashed_child(def.name(), id)),
     }
+}
+
+fn unhashed_child(name: &str, child: CellId) -> HierError {
+    HierError::Internal(format!(
+        "cell `{name}` references child {child:?} with no computed output hash \
+         (dangling or unvisited instance reference)"
+    ))
 }
 
 impl CompactSession {
@@ -273,32 +275,6 @@ impl CompactSession {
     /// cold run.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan;
-    }
-
-    fn begin(&mut self, context: u64) {
-        if self.context != Some(context) {
-            // The solve context changed: warm seeds and sweep records
-            // describe solves under the old rules/solver. The content
-            // caches stay — their keys carry the context.
-            self.history.clear();
-            self.context = Some(context);
-        }
-        if let Some(p) = self.faults.as_mut() {
-            p.reset();
-        }
-        self.last = EditStats::default();
-    }
-
-    /// Error-path cache hygiene: a failed call may have half-written
-    /// warm seeds and sweep records (they are positional, not
-    /// content-addressed), so they are dropped wholesale. The content
-    /// caches keep every entry — each was completed and is keyed by its
-    /// full input, so nothing partial can hide there. A retry after the
-    /// failure therefore behaves exactly like a cold run for the failed
-    /// cells (pinned by the fault-injection proptests).
-    fn abandon(&mut self) {
-        self.history.clear();
-        self.last = EditStats::default();
     }
 
     fn forgetting(&self) -> bool {
@@ -343,17 +319,9 @@ impl CompactSession {
         solver: &dyn Solver,
         opts: &HierOptions,
     ) -> Result<ChipLayout, HierError> {
-        let context = context_of(rules, solver, opts);
-        self.begin(context);
-        let chip = match self.hierarchy_inner(table, top, rules, solver, opts, context) {
-            Ok(chip) => chip,
-            Err(e) => {
-                self.abandon();
-                return Err(e);
-            }
-        };
-        self.finish();
-        Ok(chip)
+        self.call(rules, solver, opts, |s, context| {
+            s.walk(table, top, rules, solver, opts, context)
+        })
     }
 
     /// Incremental [`crate::hier::compact_chip_with_library`]: the leaf
@@ -375,86 +343,86 @@ impl CompactSession {
         solver: &dyn Solver,
         opts: &HierOptions,
     ) -> Result<ChipCompaction, ChipError> {
+        self.call(rules, solver, opts, |s, context| {
+            let rules_hash = rules.content_hash();
+            let solver_hash = hash_str(solver.name());
+            let forgetting = s.forgetting();
+            let mut leaf_results: Vec<CompactionResult> = Vec::with_capacity(jobs.len());
+            for job in jobs {
+                let key = mix(&[job.content_hash(), rules_hash, solver_hash]);
+                match s.leaves.get(&key).filter(|_| !forgetting) {
+                    Some(cached) => {
+                        s.last.leaf_hits += 1;
+                        leaf_results.push(cached.as_ref().clone());
+                    }
+                    None => {
+                        s.last.leaf_jobs += 1;
+                        let result = leaf::compact_limited(
+                            &job.cells,
+                            &job.interfaces,
+                            rules,
+                            solver,
+                            &opts.limits,
+                        )?;
+                        s.leaves.insert(key, Arc::new(result.clone()));
+                        leaf_results.push(result);
+                    }
+                }
+            }
+            let compacted = substitute_library(table, &leaf_results)?;
+            let chip = s.walk(&compacted, top, rules, solver, opts, context)?;
+            Ok(ChipCompaction {
+                chip,
+                leaf: leaf_results,
+            })
+        })
+    }
+
+    /// One session call: resets the per-call counters (and the solve
+    /// history when rules, solver, or options changed), runs `body`, and
+    /// counts a success into [`CompactSession::stats`].
+    ///
+    /// Error-path cache hygiene: a failed call may have half-written
+    /// warm seeds and sweep records (they are positional, not
+    /// content-addressed), so they are dropped wholesale. The content
+    /// caches keep every entry — each was completed and is keyed by its
+    /// full input, so nothing partial can hide there. A retry after the
+    /// failure therefore behaves exactly like a cold run for the failed
+    /// cells (pinned by the fault-injection proptests).
+    fn call<T, E>(
+        &mut self,
+        rules: &DesignRules,
+        solver: &dyn Solver,
+        opts: &HierOptions,
+        body: impl FnOnce(&mut Self, u64) -> Result<T, E>,
+    ) -> Result<T, E> {
         let context = context_of(rules, solver, opts);
-        self.begin(context);
-        match self.chip_inner(table, top, jobs, rules, solver, opts, context) {
-            Ok(out) => {
-                self.finish();
-                Ok(out)
-            }
-            Err(e) => {
-                self.abandon();
-                Err(e)
-            }
+        if self.context != Some(context) {
+            // The solve context changed: warm seeds and sweep records
+            // describe solves under the old rules/solver. The content
+            // caches stay — their keys carry the context.
+            self.history.clear();
+            self.context = Some(context);
         }
+        if let Some(p) = self.faults.as_mut() {
+            p.reset();
+        }
+        self.last = EditStats::default();
+        let out = body(self, context);
+        if out.is_ok() {
+            self.finish();
+        } else {
+            self.history.clear();
+            self.last = EditStats::default();
+        }
+        out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn chip_inner(
-        &mut self,
-        table: &CellTable,
-        top: CellId,
-        jobs: &[LibraryJob],
-        rules: &DesignRules,
-        solver: &dyn Solver,
-        opts: &HierOptions,
-        context: u64,
-    ) -> Result<ChipCompaction, ChipError> {
-        let rules_hash = rules.content_hash();
-        let solver_hash = hash_str(solver.name());
-        let forgetting = self.forgetting();
-        let mut leaf_results: Vec<CompactionResult> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let key = mix(&[job.content_hash(), rules_hash, solver_hash]);
-            match self.leaves.get(&key).filter(|_| !forgetting) {
-                Some(cached) => {
-                    self.last.leaf_hits += 1;
-                    leaf_results.push(cached.as_ref().clone());
-                }
-                None => {
-                    self.last.leaf_jobs += 1;
-                    let result = leaf::compact_limited(
-                        &job.cells,
-                        &job.interfaces,
-                        rules,
-                        solver,
-                        &opts.limits,
-                    )?;
-                    self.leaves.insert(key, Arc::new(result.clone()));
-                    leaf_results.push(result);
-                }
-            }
-        }
-        let mut compacted = table.clone();
-        for result in &leaf_results {
-            for cell in &result.cells {
-                let id = compacted.lookup(cell.name()).ok_or_else(|| {
-                    ChipError::Hier(HierError::Layout(LayoutError::UnknownCell(
-                        cell.name().to_owned(),
-                    )))
-                })?;
-                let Some(slot) = compacted.get_mut(id) else {
-                    return Err(ChipError::Hier(HierError::Internal(format!(
-                        "cell `{}` vanished between lookup and substitution",
-                        cell.name()
-                    ))));
-                };
-                *slot = cell.clone();
-            }
-        }
-        let chip = self.hierarchy_inner(&compacted, top, rules, solver, opts, context)?;
-        Ok(ChipCompaction {
-            chip,
-            leaf: leaf_results,
-        })
-    }
-
-    /// The shared hierarchy walk: bottom-up over the DAG, maintaining the
-    /// deep output hash of every visited definition. A parent's input
-    /// hash folds in its children's *output* hashes, so an edit anywhere
-    /// below forces a parent miss exactly when something it can see
-    /// changed — the dirty propagation is the hashing.
-    fn hierarchy_inner(
+    /// The hierarchy pass through the shared scheduler
+    /// ([`crate::hier::walk_hierarchy`]) with this session's caches. An
+    /// armed fault plan counts trips across the whole walk, so it runs
+    /// one cell per wave in DFS order at any [`HierOptions::parallelism`].
+    fn walk(
         &mut self,
         table: &CellTable,
         top: CellId,
@@ -463,414 +431,131 @@ impl CompactSession {
         opts: &HierOptions,
         context: u64,
     ) -> Result<ChipLayout, HierError> {
-        // The fault seam counts trips globally across the walk, so its
-        // schedule is only meaningful under the serial visit order — an
-        // armed plan forces the reference path.
-        let threads = opts.parallelism.threads();
-        if threads > 1 && self.faults.is_none() {
-            return self.hierarchy_parallel(table, top, rules, solver, opts, context, threads);
-        }
-        let rules_hash = rules.content_hash();
-        let mut out_table = table.clone();
-        let mut order = Vec::new();
-        let mut mark: HashMap<CellId, u8> = HashMap::new();
-        dfs_order(table, top, &mut mark, &mut order)?;
-        // Deep *output* hash per visited cell (leaves: input == output).
-        let mut hash_of: HashMap<CellId, u64> = HashMap::new();
-        let mut cells = Vec::new();
-        for cell in order {
-            let def = out_table.require(cell)?;
-            let in_hash = checked_hash(def, &hash_of)?;
-            if def.instances().next().is_none() {
-                hash_of.insert(cell, in_hash);
-                continue; // leaf: the leaf compactor's business
-            }
-            let name = def.name().to_owned();
-            self.last.cells_seen += 1;
-            let key = mix(&[in_hash, context]);
-            let forgetting = self.forgetting();
-            let (outcome, out_hash) = match self.cells.get(&key).filter(|_| !forgetting) {
-                Some(entry) => {
-                    self.last.cell_hits += 1;
-                    (entry.outcome.clone(), entry.out_hash)
-                }
-                None => {
-                    self.last.cells_compacted += 1;
-                    let history = self.history.entry(name.clone()).or_default();
-                    history.begin_run();
-                    let mut hooks = SessionHooks {
-                        abstracts: &mut self.abstracts,
-                        hash_of: &hash_of,
-                        rules_hash,
-                        context,
-                        history,
-                        memo: &mut self.memo,
-                        counters: ReuseCounters::default(),
-                        faults: self.faults.as_mut(),
-                        forgetting,
-                    };
-                    let outcome =
-                        compact_cell_with(&out_table, cell, rules, solver, opts, &mut hooks)?;
-                    self.last.absorb(&hooks.counters);
-                    if !outcome.converged {
-                        return Err(HierError::Diverged(format!(
-                            "cell `{name}` did not reach an x/y fixpoint in {} alternations",
-                            opts.max_passes
-                        )));
-                    }
-                    let out_hash = checked_hash(&outcome.cell, &hash_of)?;
-                    self.cells.insert(
-                        key,
-                        Arc::new(CellEntry {
-                            outcome: outcome.clone(),
-                            out_hash,
-                        }),
-                    );
-                    (outcome, out_hash)
-                }
-            };
-            let Some(slot) = out_table.get_mut(cell) else {
-                return Err(HierError::Internal(format!(
-                    "cell `{name}` vanished from the table mid-walk"
-                )));
-            };
-            *slot = outcome.cell.clone();
-            hash_of.insert(cell, out_hash);
-            cells.push((name, outcome));
-        }
-        Ok(ChipLayout {
-            table: out_table,
-            top,
-            cells,
-        })
-    }
-
-    /// The multi-worker variant of [`CompactSession::hierarchy_inner`]:
-    /// the dependency-level schedule of [`crate::hier::compact_hierarchy`]
-    /// layered over the session caches. Per level, a serial pass hashes
-    /// each ready cell and replays outcome-cache hits; the misses fan out
-    /// across workers, each holding a [`ShardHooks`] — a read-only
-    /// snapshot of the shared content caches plus private insert maps and
-    /// the cell's own (name-keyed, therefore exclusive) solve history —
-    /// and the per-worker inserts merge back in level order before the
-    /// next level hashes against them. Geometry, pitches, and the
-    /// reported error are bit-identical to the serial walk (pinned by the
-    /// `parallel_equivalence` proptests); only the reuse *counters* may
-    /// differ, because two workers can re-derive an abstract a serial
-    /// walk would have cache-hit.
-    #[allow(clippy::too_many_arguments)]
-    fn hierarchy_parallel(
-        &mut self,
-        table: &CellTable,
-        top: CellId,
-        rules: &DesignRules,
-        solver: &dyn Solver,
-        opts: &HierOptions,
-        context: u64,
-        threads: usize,
-    ) -> Result<ChipLayout, HierError> {
-        let rules_hash = rules.content_hash();
-        let mut out_table = table.clone();
-        let mut order = Vec::new();
-        let mut mark: HashMap<CellId, u8> = HashMap::new();
-        dfs_order(table, top, &mut mark, &mut order)?;
-        let levels = dependency_levels(table, &order)?;
-        let pos: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        // Deep *output* hash per visited cell. Leaves are pure inputs
-        // (input == output, and their hash reads no other definition), so
-        // they all hash up front.
-        let mut hash_of: HashMap<CellId, u64> = HashMap::new();
-        for &cell in &order {
-            let def = out_table.require(cell)?;
-            if def.instances().next().is_none() {
-                let h = checked_hash(def, &hash_of)?;
-                hash_of.insert(cell, h);
-            }
-        }
-        let mut outcomes: HashMap<CellId, HierOutcome> = HashMap::new();
-        // Same failure semantics as the parallel plain walk: compute every
-        // cell whose descendants all succeeded, then report the error of
-        // the DFS-earliest failure — exactly the cell the serial walk
-        // would have stopped at.
-        let mut failures: Vec<(usize, HierError)> = Vec::new();
-        let mut bad: HashSet<CellId> = HashSet::new();
-        for level in &levels {
-            // Serial cache pass: a poisoned cell cannot even be hashed
-            // (a descendant has no output), hits replay immediately, and
-            // misses queue for the fan-out with their history taken out
-            // of the session (cell names are unique, so each worker owns
-            // its history exclusively).
-            let mut misses: Vec<MissJob> = Vec::new();
-            for &cell in level {
-                let def = out_table.require(cell)?;
-                if def.instances().any(|i| bad.contains(&i.cell)) {
-                    bad.insert(cell);
-                    continue;
-                }
-                self.last.cells_seen += 1;
-                let name = def.name().to_owned();
-                let in_hash = checked_hash(def, &hash_of)?;
-                let key = mix(&[in_hash, context]);
-                if let Some(entry) = self.cells.get(&key) {
-                    self.last.cell_hits += 1;
-                    let outcome = entry.outcome.clone();
-                    let out_hash = entry.out_hash;
-                    let Some(slot) = out_table.get_mut(cell) else {
-                        return Err(HierError::Internal(format!(
-                            "cell `{name}` vanished from the table mid-walk"
-                        )));
-                    };
-                    *slot = outcome.cell.clone();
-                    hash_of.insert(cell, out_hash);
-                    outcomes.insert(cell, outcome);
-                    continue;
-                }
-                self.last.cells_compacted += 1;
-                let mut history = self.history.remove(&name).unwrap_or_default();
-                history.begin_run();
-                misses.push(MissJob {
-                    cell,
-                    name,
-                    key,
-                    history,
-                });
-            }
-            if misses.is_empty() {
-                continue;
-            }
-            let results = {
-                let abstracts = &self.abstracts;
-                let memo = &self.memo;
-                let out_table = &out_table;
-                let hash_of = &hash_of;
-                par_map(&misses, threads, move |job| {
-                    let mut hooks = ShardHooks {
-                        abstracts,
-                        new_abstracts: HashMap::new(),
-                        hash_of,
-                        rules_hash,
-                        context,
-                        history: job.history.clone(),
-                        memo,
-                        new_memo: HashMap::new(),
-                        counters: ReuseCounters::default(),
-                    };
-                    let outcome =
-                        compact_cell_with(out_table, job.cell, rules, solver, opts, &mut hooks);
-                    ShardResult {
-                        outcome,
-                        history: hooks.history,
-                        new_abstracts: hooks.new_abstracts,
-                        new_memo: hooks.new_memo,
-                        counters: hooks.counters,
-                    }
-                })
-            };
-            // Merge in level order (a DFS suborder), so cache insertion
-            // order — and therefore everything downstream — is
-            // deterministic regardless of worker interleaving.
-            for (job, result) in misses.into_iter().zip(results) {
-                let dfs_pos = pos.get(&job.cell).copied().unwrap_or(usize::MAX);
-                let shard = match result {
-                    Ok(s) => s,
-                    Err(panic) => {
-                        failures.push((dfs_pos, HierError::Internal(panic.to_string())));
-                        bad.insert(job.cell);
-                        continue;
-                    }
-                };
-                self.abstracts.extend(shard.new_abstracts);
-                self.memo.extend(shard.new_memo);
-                self.history.insert(job.name.clone(), shard.history);
-                self.last.absorb(&shard.counters);
-                let outcome = match shard.outcome {
-                    Ok(o) if o.converged => o,
-                    Ok(_) => {
-                        failures.push((
-                            dfs_pos,
-                            HierError::Diverged(format!(
-                                "cell `{}` did not reach an x/y fixpoint in {} alternations",
-                                job.name, opts.max_passes
-                            )),
-                        ));
-                        bad.insert(job.cell);
-                        continue;
-                    }
-                    Err(e) => {
-                        failures.push((dfs_pos, e));
-                        bad.insert(job.cell);
-                        continue;
-                    }
-                };
-                let out_hash = checked_hash(&outcome.cell, &hash_of)?;
-                self.cells.insert(
-                    job.key,
-                    Arc::new(CellEntry {
-                        outcome: outcome.clone(),
-                        out_hash,
-                    }),
-                );
-                let Some(slot) = out_table.get_mut(job.cell) else {
-                    return Err(HierError::Internal(format!(
-                        "cell `{}` vanished from the table mid-walk",
-                        job.name
-                    )));
-                };
-                *slot = outcome.cell.clone();
-                hash_of.insert(job.cell, out_hash);
-                outcomes.insert(job.cell, outcome);
-            }
-        }
-        if let Some((_, e)) = failures.into_iter().min_by_key(|&(p, _)| p) {
-            return Err(e);
-        }
-        // Reassemble the per-cell list in the serial walk's bottom-up
-        // order.
-        let mut cells = Vec::with_capacity(outcomes.len());
-        for cell in order {
-            if let Some(outcome) = outcomes.remove(&cell) {
-                cells.push((table.require(cell)?.name().to_owned(), outcome));
-            }
-        }
-        Ok(ChipLayout {
-            table: out_table,
-            top,
-            cells,
-        })
+        let threads = match self.faults {
+            Some(_) => 1,
+            None => opts.parallelism.threads(),
+        };
+        let mut walk = SessionWalk {
+            session: self,
+            hash_of: HashMap::new(),
+            rules_hash: rules.content_hash(),
+            context,
+        };
+        walk_hierarchy(table, top, rules, solver, opts, threads, &mut walk)
     }
 }
 
-/// One outcome-cache miss queued for the parallel fan-out, carrying the
-/// cell's solve history out of the session for the worker's exclusive
-/// use.
-struct MissJob {
-    cell: CellId,
+/// The session's side of the shared walk: its caches, plus the deep
+/// *output* hash of every definition the walk has finished (leaves:
+/// input == output). A parent's input hash folds in its children's
+/// output hashes, so an edit anywhere below forces a parent miss exactly
+/// when something it can see changed — the dirty propagation is the
+/// hashing.
+struct SessionWalk<'s> {
+    session: &'s mut CompactSession,
+    hash_of: HashMap<CellId, u64>,
+    rules_hash: u64,
+    context: u64,
+}
+
+/// One outcome-cache miss, owned by the worker that compacts it: the
+/// cell's solve history (taken out of the session; cell names are
+/// unique), the session's fault plan when one is armed (waves are then
+/// one cell wide), and the cache entries the run derives, kept private
+/// until the wave's merge. The caches are content-addressed, so merge
+/// order only affects counters, never values.
+#[derive(Default)]
+struct SessionMiss {
+    /// Name of the cell being compacted.
     name: String,
     /// Outcome-cache key (`mix(deep input hash, context)`).
     key: u64,
     history: CellHistory,
-}
-
-/// Everything a worker produced for one miss: the outcome plus the cache
-/// state to merge back — its updated history and the abstracts/memo
-/// entries it derived (content-addressed, so merge order only affects
-/// counters, never values).
-struct ShardResult {
-    outcome: Result<HierOutcome, HierError>,
-    history: CellHistory,
-    new_abstracts: HashMap<u64, Arc<CellAbstract>>,
-    new_memo: HashMap<u64, Arc<SweepSolution>>,
-    counters: ReuseCounters,
-}
-
-/// The per-worker [`CompactHooks`]: reads go to the shared snapshot
-/// first, then to the worker's private inserts; writes stay private until
-/// the level's deterministic merge. Fault injection is structurally
-/// absent — an armed plan forces the serial path before this type is ever
-/// constructed.
-struct ShardHooks<'a> {
-    abstracts: &'a HashMap<u64, Arc<CellAbstract>>,
-    new_abstracts: HashMap<u64, Arc<CellAbstract>>,
-    /// Deep output hashes of every definition from earlier levels.
-    hash_of: &'a HashMap<CellId, u64>,
-    rules_hash: u64,
-    context: u64,
-    history: CellHistory,
-    memo: &'a HashMap<u64, Arc<SweepSolution>>,
-    new_memo: HashMap<u64, Arc<SweepSolution>>,
-    counters: ReuseCounters,
-}
-
-impl CompactHooks for ShardHooks<'_> {
-    fn abstract_for(
-        &mut self,
-        table: &CellTable,
-        cell: CellId,
-        orientation: Orientation,
-        rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
-        let src = match self.hash_of.get(&cell) {
-            Some(&h) => h,
-            None => deep_hashes(table, cell)?[&cell],
-        };
-        let sig = mix(&[
-            src,
-            orientation.rotation as u64,
-            orientation.mirror_y as u64,
-            self.rules_hash,
-        ]);
-        if let Some(cached) = self
-            .abstracts
-            .get(&sig)
-            .or_else(|| self.new_abstracts.get(&sig))
-        {
-            self.counters.abstract_hits += 1;
-            return Ok((cached.clone(), sig));
-        }
-        self.counters.abstracts_derived += 1;
-        let derived = Arc::new(derive_abstract(table, cell, orientation, rules)?);
-        self.new_abstracts.insert(sig, derived.clone());
-        Ok((derived, sig))
-    }
-
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn context_tag(&self) -> u64 {
-        self.context
-    }
-
-    fn warm_seed(&mut self, axis: Axis) -> Option<Vec<i64>> {
-        self.history.warm[axis_index(axis)].clone()
-    }
-
-    fn record_warm(&mut self, axis: Axis, positions: &[i64]) {
-        self.history.warm[axis_index(axis)] = Some(positions.to_vec());
-    }
-
-    fn prev_sweep(&mut self, ordinal: usize) -> Option<Arc<SweepRecord>> {
-        self.history.prev.get(ordinal).cloned()
-    }
-
-    fn record_sweep(&mut self, ordinal: usize, record: Arc<SweepRecord>) {
-        if ordinal == self.history.next.len() {
-            self.history.next.push(record);
-        }
-    }
-
-    fn memo_get(&mut self, key: u64) -> Option<Arc<SweepSolution>> {
-        self.memo
-            .get(&key)
-            .or_else(|| self.new_memo.get(&key))
-            .cloned()
-    }
-
-    fn memo_put(&mut self, key: u64, solution: Arc<SweepSolution>) {
-        self.new_memo.insert(key, solution);
-    }
-
-    fn counters(&mut self) -> Option<&mut ReuseCounters> {
-        Some(&mut self.counters)
-    }
-}
-
-/// The session's [`CompactHooks`] implementation for one
-/// [`compact_cell_with`] run — borrows the session caches plus the cell's
-/// own history, and collects the run's counters.
-struct SessionHooks<'a> {
-    abstracts: &'a mut HashMap<u64, Arc<CellAbstract>>,
-    /// Deep output hashes of every already-processed definition.
-    hash_of: &'a HashMap<CellId, u64>,
-    rules_hash: u64,
-    context: u64,
-    history: &'a mut CellHistory,
-    memo: &'a mut HashMap<u64, Arc<SweepSolution>>,
-    counters: ReuseCounters,
-    /// Armed fault schedule of the session, if any.
-    faults: Option<&'a mut FaultPlan>,
+    faults: Option<FaultPlan>,
     /// Injected amnesia: answer every cache lookup with a miss.
     forgetting: bool,
+    new_abstracts: HashMap<u64, Arc<CellAbstract>>,
+    new_memo: HashMap<u64, Arc<SweepSolution>>,
+    counters: ReuseCounters,
+}
+
+impl WalkFlow for SessionWalk<'_> {
+    type Miss = SessionMiss;
+    type Hooks<'a>
+        = SessionHooks<'a>
+    where
+        Self: 'a;
+
+    fn leaf(&mut self, def: &CellDefinition, cell: CellId) -> Result<(), HierError> {
+        let hash = checked_hash(def, &self.hash_of)?;
+        self.hash_of.insert(cell, hash);
+        Ok(())
+    }
+
+    fn lookup(
+        &mut self,
+        def: &CellDefinition,
+        cell: CellId,
+    ) -> Result<Result<HierOutcome, SessionMiss>, HierError> {
+        let key = mix(&[checked_hash(def, &self.hash_of)?, self.context]);
+        let s = &mut *self.session;
+        s.last.cells_seen += 1;
+        let forgetting = s.forgetting();
+        if let Some(entry) = s.cells.get(&key).filter(|_| !forgetting) {
+            s.last.cell_hits += 1;
+            self.hash_of.insert(cell, entry.out_hash);
+            return Ok(Ok(entry.outcome.clone()));
+        }
+        s.last.cells_compacted += 1;
+        let mut history = s.history.remove(def.name()).unwrap_or_default();
+        history.begin_run();
+        Ok(Err(SessionMiss {
+            name: def.name().to_owned(),
+            key,
+            history,
+            faults: s.faults.take(),
+            forgetting,
+            ..SessionMiss::default()
+        }))
+    }
+
+    fn hooks<'a>(&'a self, miss: &'a mut SessionMiss) -> SessionHooks<'a> {
+        SessionHooks { walk: self, miss }
+    }
+
+    fn merge(
+        &mut self,
+        cell: CellId,
+        miss: SessionMiss,
+        done: Option<&HierOutcome>,
+    ) -> Result<(), HierError> {
+        let s = &mut *self.session;
+        if miss.faults.is_some() {
+            s.faults = miss.faults;
+        }
+        s.abstracts.extend(miss.new_abstracts);
+        s.memo.extend(miss.new_memo);
+        s.history.insert(miss.name, miss.history);
+        s.last.absorb(&miss.counters);
+        if let Some(outcome) = done {
+            let out_hash = checked_hash(&outcome.cell, &self.hash_of)?;
+            let entry = CellEntry {
+                outcome: outcome.clone(),
+                out_hash,
+            };
+            s.cells.insert(miss.key, Arc::new(entry));
+            self.hash_of.insert(cell, out_hash);
+        }
+        Ok(())
+    }
+}
+
+/// The session's [`CompactHooks`] for one miss: reads go to the shared
+/// session caches first, then to the miss's private inserts; writes stay
+/// private until the wave's merge.
+struct SessionHooks<'a> {
+    walk: &'a SessionWalk<'a>,
+    miss: &'a mut SessionMiss,
 }
 
 impl CompactHooks for SessionHooks<'_> {
@@ -880,27 +565,28 @@ impl CompactHooks for SessionHooks<'_> {
         cell: CellId,
         orientation: Orientation,
         rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
-        // The walk processes children before parents, so the referenced
-        // cell's output hash is always present; the deep-hash fallback
-        // only fires for hook reuse outside the session walk.
-        let src = match self.hash_of.get(&cell) {
-            Some(&h) => h,
-            None => deep_hashes(table, cell)?[&cell],
+    ) -> Result<(Arc<CellAbstract>, u64), HierError> {
+        // Children finish before their callers, so a missing output hash
+        // means the hierarchy is inconsistent — as in `checked_hash`.
+        let Some(&src) = self.walk.hash_of.get(&cell) else {
+            return Err(unhashed_child(&self.miss.name, cell));
         };
         let sig = mix(&[
             src,
             orientation.rotation as u64,
             orientation.mirror_y as u64,
-            self.rules_hash,
+            self.walk.rules_hash,
         ]);
-        if let Some(cached) = self.abstracts.get(&sig).filter(|_| !self.forgetting) {
-            self.counters.abstract_hits += 1;
+        let cached = (self.walk.session.abstracts.get(&sig))
+            .or_else(|| self.miss.new_abstracts.get(&sig))
+            .filter(|_| !self.miss.forgetting);
+        if let Some(cached) = cached {
+            self.miss.counters.abstract_hits += 1;
             return Ok((cached.clone(), sig));
         }
-        self.counters.abstracts_derived += 1;
+        self.miss.counters.abstracts_derived += 1;
         let derived = Arc::new(derive_abstract(table, cell, orientation, rules)?);
-        self.abstracts.insert(sig, derived.clone());
+        self.miss.new_abstracts.insert(sig, derived.clone());
         Ok((derived, sig))
     }
 
@@ -909,50 +595,46 @@ impl CompactHooks for SessionHooks<'_> {
     }
 
     fn context_tag(&self) -> u64 {
-        self.context
+        self.walk.context
     }
 
     fn warm_seed(&mut self, axis: Axis) -> Option<Vec<i64>> {
-        if self.forgetting {
-            return None;
-        }
-        self.history.warm[axis_index(axis)].clone()
+        let warm = self.miss.history.warm[axis_index(axis)].as_ref();
+        warm.filter(|_| !self.miss.forgetting).cloned()
     }
 
     fn record_warm(&mut self, axis: Axis, positions: &[i64]) {
-        self.history.warm[axis_index(axis)] = Some(positions.to_vec());
+        self.miss.history.warm[axis_index(axis)] = Some(positions.to_vec());
     }
 
     fn prev_sweep(&mut self, ordinal: usize) -> Option<Arc<SweepRecord>> {
-        if self.forgetting {
-            return None;
-        }
-        self.history.prev.get(ordinal).cloned()
+        let prev = self.miss.history.prev.get(ordinal);
+        prev.filter(|_| !self.miss.forgetting).cloned()
     }
 
     fn record_sweep(&mut self, ordinal: usize, record: Arc<SweepRecord>) {
-        if ordinal == self.history.next.len() {
-            self.history.next.push(record);
+        if ordinal == self.miss.history.next.len() {
+            self.miss.history.next.push(record);
         }
     }
 
     fn memo_get(&mut self, key: u64) -> Option<Arc<SweepSolution>> {
-        if self.forgetting {
-            return None;
-        }
-        self.memo.get(&key).cloned()
+        (self.walk.session.memo.get(&key))
+            .or_else(|| self.miss.new_memo.get(&key))
+            .filter(|_| !self.miss.forgetting)
+            .cloned()
     }
 
     fn memo_put(&mut self, key: u64, solution: Arc<SweepSolution>) {
-        self.memo.insert(key, solution);
+        self.miss.new_memo.insert(key, solution);
     }
 
     fn counters(&mut self) -> Option<&mut ReuseCounters> {
-        Some(&mut self.counters)
+        Some(&mut self.miss.counters)
     }
 
     fn fault(&mut self, site: FaultSite) -> Option<InjectedFault> {
-        self.faults.as_mut().and_then(|p| p.trip(site))
+        self.miss.faults.as_mut().and_then(|p| p.trip(site))
     }
 }
 
@@ -1005,5 +687,41 @@ mod tests {
             ha, hb,
             "distinct children must yield distinct parent digests"
         );
+    }
+
+    /// An abstract requested for a child the walk has not hashed is the
+    /// same typed internal error as in `checked_hash`, never a panic
+    /// from a fallback map index.
+    #[test]
+    fn unhashed_child_abstract_is_an_error_not_a_panic() {
+        let rules = rsg_layout::Technology::mead_conway(2).rules;
+        let mut table = CellTable::new();
+        let mut leaf = CellDefinition::new("leaf");
+        leaf.add_box(Layer::Poly, Rect::from_coords(0, 0, 4, 8));
+        let leaf_id = table.insert(leaf).unwrap();
+        let parent = CellDefinition::new("parent");
+        let parent_id = table.insert(parent.clone()).unwrap();
+
+        let mut session = CompactSession::new();
+        let mut walk = SessionWalk {
+            session: &mut session,
+            hash_of: HashMap::new(),
+            rules_hash: rules.content_hash(),
+            context: 0,
+        };
+        let Ok(Err(mut miss)) = walk.lookup(&parent, parent_id) else {
+            panic!("an empty session must miss");
+        };
+        let got = walk
+            .hooks(&mut miss)
+            .abstract_for(&table, leaf_id, Orientation::NORTH, &rules);
+        match got {
+            Err(HierError::Internal(msg)) => {
+                assert!(msg.contains("parent"), "message names the cell: {msg}");
+            }
+            Err(e) => panic!("expected HierError::Internal, got {e:?}"),
+            Ok(_) => panic!("an unhashed child must not yield an abstract"),
+        }
+        assert_eq!(miss.counters, ReuseCounters::default(), "nothing derived");
     }
 }

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
-use rsg_compact::incremental::CompactSession;
+use rsg_compact::incremental::{CompactSession, EditStats};
 use rsg_geom::{Orientation, Point, Rect};
 use rsg_layout::{drc, flatten, CellDefinition, CellId, CellTable, Instance, Layer, Technology};
 
@@ -218,6 +218,21 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
         cold_stats.cells_compacted, 3,
         "cold run compacts everything"
     );
+    // The whole serial reuse ledger is pinned, so a schedule that
+    // re-derives an abstract or misses the sweep memo fails here.
+    assert_eq!(
+        cold_stats,
+        EditStats {
+            cells_seen: 3,
+            cells_compacted: 3,
+            abstracts_derived: 4,
+            constraints_emitted: 22,
+            sweeps_solved: 11,
+            sweep_memo_hits: 1,
+            solver_passes: 26,
+            ..EditStats::default()
+        }
+    );
 
     // Edit leaf_b only: block_b and chip re-run, block_a replays.
     lanes_b[0].2 = 11;
@@ -233,6 +248,21 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
     assert!(
         stats.abstract_hits > 0,
         "unchanged abstracts must come from the cache"
+    );
+    assert_eq!(
+        stats,
+        EditStats {
+            cells_seen: 3,
+            cell_hits: 1,
+            cells_compacted: 2,
+            abstracts_derived: 2,
+            abstract_hits: 1,
+            constraints_emitted: 14,
+            sweeps_solved: 7,
+            sweep_memo_hits: 1,
+            solver_passes: 17,
+            ..EditStats::default()
+        }
     );
 
     // And the replay is still the from-scratch answer.
@@ -250,8 +280,59 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
     assert_eq!(stats.abstracts_derived, 0, "no-op edit re-flattens nothing");
     assert_eq!(stats.constraints_emitted, 0, "no-op edit re-emits nothing");
     assert_eq!(stats.sweeps_solved, 0);
+    assert_eq!(
+        stats,
+        EditStats {
+            cells_seen: 3,
+            cell_hits: 3,
+            ..EditStats::default()
+        }
+    );
     assert_eq!(session.stats().calls, before.calls + 1);
     assert_same(&noop, &cold);
+}
+
+/// The serial walk compacts one cell at a time, so a cell sees every
+/// abstract an earlier sibling derived: two blocks over one leaf derive
+/// its abstract once.
+#[test]
+fn serial_walk_shares_abstracts_between_siblings() {
+    let tech = Technology::mead_conway(2);
+    let mut t = CellTable::new();
+    let leaf = t.insert(lane_cell("leaf", &[(1, 0, 10, 8)])).unwrap();
+    let block = |t: &mut CellTable, name: &str, pitch: i64| {
+        let mut c = CellDefinition::new(name);
+        for k in 0..2 {
+            c.add_instance(Instance::new(
+                leaf,
+                Point::new(k * pitch, 0),
+                Orientation::NORTH,
+            ));
+        }
+        t.insert(c).unwrap()
+    };
+    let block_1 = block(&mut t, "block_1", 20);
+    let block_2 = block(&mut t, "block_2", 30);
+    let mut top = CellDefinition::new("top");
+    top.add_instance(Instance::new(block_1, Point::new(0, 0), Orientation::NORTH));
+    top.add_instance(Instance::new(
+        block_2,
+        Point::new(0, 40),
+        Orientation::NORTH,
+    ));
+    let top = t.insert(top).unwrap();
+
+    let mut session = CompactSession::new();
+    let opts = HierOptions::default();
+    session
+        .compact_hierarchy(&t, top, &tech.rules, &BellmanFord::SORTED, &opts)
+        .unwrap();
+    let stats = session.last_stats();
+    assert_eq!(
+        (stats.abstracts_derived, stats.abstract_hits),
+        (3, 1),
+        "leaf, block_1 and block_2 derived once each; block_2 hits the leaf"
+    );
 }
 
 /// Failure classes match the cold path: a recursive hierarchy surfaces

@@ -7,14 +7,14 @@
 //! The thread counts deliberately oversubscribe the host (CI runs on
 //! 1–4 cores): determinism must come from the merge discipline (DFS
 //! reassembly, per-level ordering, index-slot result collection), not
-//! from scheduling luck. n = 1 additionally pins that the `Threads`
-//! code path itself — not just the serial fast path — is exercised and
-//! agrees.
+//! from scheduling luck. n = 1 additionally pins that a one-worker
+//! `Threads` setting agrees with `Serial`.
 
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
-use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
+use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierError, HierOptions};
 use rsg_compact::incremental::CompactSession;
+use rsg_compact::limits::{Exhausted, Limits, Resource};
 use rsg_compact::par::Parallelism;
 use rsg_geom::{Orientation, Point, Rect};
 use rsg_layout::{
@@ -221,9 +221,9 @@ proptest! {
     }
 }
 
-/// Error classes survive the parallel walk: a recursive hierarchy
-/// surfaces as the *same* [`rsg_compact::hier::HierError`] from the
-/// serial fast path, every `Threads(n)` walk, and the session — the
+/// Error classes survive the parallel walk: a recursive hierarchy and a
+/// budget overrun surface as the *same* [`rsg_compact::hier::HierError`]
+/// from the serial walk, every `Threads(n)` walk, and the session — the
 /// DFS-minimum failure rule reproduces serial error selection exactly.
 #[test]
 fn error_classes_match_serial_at_every_parallelism() {
@@ -254,5 +254,55 @@ fn error_classes_match_serial_at_every_parallelism() {
             .compact_hierarchy(&t, top_id, &tech.rules, &solver, &with_threads(n))
             .unwrap_err();
         assert_eq!(ses, serial, "session error diverged at {n} threads");
+    }
+
+    // Two cells over a 4-box budget at different dependency levels. DFS
+    // order is leaf, mid, upper, wide, top: `upper` (3 × `mid` = 6 flat
+    // boxes, level 1) fails first in DFS order, but the level schedule
+    // runs `wide` (5 × leaf = 5 boxes, level 0) and sees it fail first.
+    let mut t = CellTable::new();
+    let mut leaf = CellDefinition::new("leaf");
+    leaf.add_box(Layer::Poly, Rect::from_coords(0, 0, 8, 8));
+    let leaf_id = t.insert(leaf).unwrap();
+    let row = |t: &mut CellTable, name: &str, of: CellId, n: i64, pitch: i64| {
+        let mut c = CellDefinition::new(name);
+        for k in 0..n {
+            c.add_instance(Instance::new(
+                of,
+                Point::new(k * pitch, 0),
+                Orientation::NORTH,
+            ));
+        }
+        t.insert(c).unwrap()
+    };
+    let mid = row(&mut t, "mid", leaf_id, 2, 20);
+    let upper = row(&mut t, "upper", mid, 3, 60);
+    let wide = row(&mut t, "wide", leaf_id, 5, 20);
+    let mut top = CellDefinition::new("top");
+    top.add_instance(Instance::new(upper, Point::new(0, 0), Orientation::NORTH));
+    top.add_instance(Instance::new(wide, Point::new(0, 40), Orientation::NORTH));
+    let top_id = t.insert(top).unwrap();
+
+    let capped = |parallelism| HierOptions {
+        limits: Limits {
+            max_flat_boxes: Some(4),
+            ..Limits::NONE
+        },
+        parallelism,
+        ..HierOptions::default()
+    };
+    let expected = HierError::Exhausted(Exhausted {
+        resource: Resource::FlatBoxes,
+        limit: 4,
+        observed: 6,
+    });
+    let settings = std::iter::once(Parallelism::Serial).chain(THREADS.map(Parallelism::Threads));
+    for p in settings {
+        let walk = compact_hierarchy(&t, top_id, &tech.rules, &solver, &capped(p)).unwrap_err();
+        assert_eq!(walk, expected, "walk picked the wrong failure at {p:?}");
+        let ses = CompactSession::new()
+            .compact_hierarchy(&t, top_id, &tech.rules, &solver, &capped(p))
+            .unwrap_err();
+        assert_eq!(ses, expected, "session picked the wrong failure at {p:?}");
     }
 }

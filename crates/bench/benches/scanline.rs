@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsg_bench::megachip_flat;
 use rsg_compact::par::Parallelism;
-use rsg_compact::scanline::{generate, generate_par, generate_with, Method, Prune};
+use rsg_compact::scanline::{generate, generate_with, Method, Prune};
 use rsg_geom::{Axis, Rect};
 use rsg_layout::{Layer, Technology};
 use std::hint::black_box;
@@ -107,11 +107,12 @@ fn bench_methods(c: &mut Criterion) {
         let mut runs = vec![(format!("{n}"), Parallelism::Serial)];
         if n == 100_000 {
             let serial = generate(&boxes, &rules, Method::Visibility, Axis::X).0;
-            let par = generate_par(
+            let par = generate_with(
                 &boxes,
                 &rules,
                 Method::Visibility,
                 Axis::X,
+                Prune::Apply,
                 Parallelism::Threads(2),
             )
             .0;
@@ -122,10 +123,17 @@ fn bench_methods(c: &mut Criterion) {
             group.bench_function(id, |b| {
                 b.iter(|| {
                     black_box(
-                        generate_par(&boxes, &rules, Method::Visibility, Axis::X, par)
-                            .0
-                            .constraints()
-                            .len(),
+                        generate_with(
+                            &boxes,
+                            &rules,
+                            Method::Visibility,
+                            Axis::X,
+                            Prune::Apply,
+                            par,
+                        )
+                        .0
+                        .constraints()
+                        .len(),
                     )
                 })
             });

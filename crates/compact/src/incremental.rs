@@ -77,6 +77,7 @@ use crate::hier::{
     SweepRecord, SweepSolution, WalkFlow,
 };
 use crate::leaf::{self, CompactionResult, LibraryJob};
+use crate::par::Parallelism;
 use rsg_geom::{Axis, Orientation};
 use rsg_layout::hash::{hash_cell, mix, ContentHasher};
 use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules};
@@ -363,6 +364,7 @@ impl CompactSession {
                             rules,
                             solver,
                             &opts.limits,
+                            Parallelism::Serial,
                         )?;
                         s.leaves.insert(key, Arc::new(result.clone()));
                         leaf_results.push(result);

@@ -20,9 +20,10 @@
 
 use crate::backend::{SolveError, Solver};
 use crate::limits::{Exhausted, Limits};
-use crate::scanline::{self, BoxVars, Method, Prune};
+use crate::par::par_ranges;
+use crate::scanline::{self, BoxVars, Method, Prune, VisibilityCursor};
 use crate::scratch::ScanScratch;
-use crate::{Constraint, ConstraintSystem, PitchId, VarId};
+use crate::{Constraint, ConstraintSystem, PitchId};
 use rsg_geom::{Axis, GeomIndex, Rect, Vector};
 use rsg_layout::{CellDefinition, DesignRules, Layer};
 
@@ -143,20 +144,9 @@ impl From<Exhausted> for LeafError {
     }
 }
 
-/// A box with its edge variables and optional pitch tag (B-side boxes in
-/// an interface pair carry the pitch).
-#[derive(Debug, Clone, Copy)]
-struct VBox {
-    layer: Layer,
-    rect: Rect,
-    left: VarId,
-    right: VarId,
-    pitch: Option<PitchId>,
-}
-
 /// Compacts a cell library in x under every declared interface, solving
 /// through the given backend. Equivalent to [`compact_limited`] with
-/// [`Limits::NONE`].
+/// [`Limits::NONE`], serially.
 ///
 /// # Errors
 ///
@@ -168,13 +158,26 @@ pub fn compact(
     rules: &DesignRules,
     solver: &dyn Solver,
 ) -> Result<CompactionResult, LeafError> {
-    compact_limited(cells, interfaces, rules, solver, &Limits::NONE)
+    compact_limited(
+        cells,
+        interfaces,
+        rules,
+        solver,
+        &Limits::NONE,
+        Parallelism::Serial,
+    )
 }
 
-/// [`compact`] under resource budgets: checkpoints fire after the flat
-/// box count is known, after constraint generation, and (for the
-/// deadline) at entry — deterministic points, so an exhausted run always
-/// fails identically.
+/// [`compact`] under resource budgets, with constraint *generation*
+/// fanned across `par` workers.
+///
+/// Checkpoints fire after the flat box count is known, after constraint
+/// generation, and (for the deadline) at entry — deterministic points,
+/// so an exhausted run always fails identically. The intra-cell spacing
+/// scans and the per-interface cross scans split their low boxes into
+/// ranges across workers and emit into the system in the serial order,
+/// so the result — success or error — is bit-identical at any thread
+/// count; only wall-clock changes.
 ///
 /// # Errors
 ///
@@ -186,43 +189,12 @@ pub fn compact_limited(
     rules: &DesignRules,
     solver: &dyn Solver,
     limits: &Limits,
-) -> Result<CompactionResult, LeafError> {
-    compact_limited_par(
-        cells,
-        interfaces,
-        rules,
-        solver,
-        limits,
-        Parallelism::Serial,
-    )
-}
-
-/// [`compact_limited`] with constraint *generation* fanned across worker
-/// threads: the intra-cell spacing scans and the per-interface cross
-/// scans run their pair filters in parallel, emitting into the system in
-/// the serial order. The result — success or error — is bit-identical
-/// to [`compact_limited`] at any thread count; only wall-clock changes.
-///
-/// Use this for one big library on an otherwise idle machine;
-/// [`compact_batch`] applies it automatically to single-job batches
-/// (many-job batches keep their job-level fan-out instead).
-///
-/// # Errors
-///
-/// Returns [`LeafError`] on infeasible systems, malformed input, or an
-/// exhausted budget.
-pub fn compact_limited_par(
-    cells: &[CellDefinition],
-    interfaces: &[LeafInterface],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    limits: &Limits,
     par: Parallelism,
 ) -> Result<CompactionResult, LeafError> {
     compact_limited_impl(cells, interfaces, rules, solver, limits, par, Prune::Apply)
 }
 
-/// [`compact_limited_par`] with the intra-cell transitive-reduction
+/// [`compact_limited`] with the intra-cell transitive-reduction
 /// prune disabled — the full spacing emission reaches the solver. The
 /// result (cells, pitches, and [`PitchBinding`]s) is identical to the
 /// pruned path; this entry exists so the equivalence proptests can pin
@@ -341,29 +313,16 @@ fn compact_limited_impl(
             Axis::X => Vector::new(x0, iface.y_offset),
             Axis::Y => Vector::new(iface.y_offset, x0),
         };
-        let a_view: Vec<VBox> = cell_boxes[iface.cell_a]
-            .iter()
-            .zip(&cell_vars[iface.cell_a])
-            .map(|(&(layer, rect), bv)| VBox {
-                layer,
-                rect,
-                left: bv.left,
-                right: bv.right,
-                pitch: None,
-            })
-            .collect();
-        let b_view: Vec<VBox> = cell_boxes[iface.cell_b]
-            .iter()
-            .zip(&cell_vars[iface.cell_b])
-            .map(|(&(layer, rect), bv)| VBox {
-                layer,
-                rect: rect.translate(shift),
-                left: bv.left,
-                right: bv.right,
-                pitch,
-            })
-            .collect();
-        append_cross_constraints(&mut sys, &a_view, &b_view, rules, par, &mut scan)?;
+        append_cross_constraints(
+            &mut sys,
+            (&cell_boxes[iface.cell_a], &cell_vars[iface.cell_a]),
+            (&cell_boxes[iface.cell_b], &cell_vars[iface.cell_b]),
+            shift,
+            pitch,
+            rules,
+            par,
+            &mut scan,
+        );
     }
 
     // Metric excludes the origin convenience variable (Fig 6.3 counts
@@ -503,7 +462,7 @@ pub fn compact_batch(
         Parallelism::Serial
     };
     crate::par::par_map(jobs, parallelism.threads(), |job| {
-        compact_limited_par(
+        compact_limited(
             &job.cells,
             &job.interfaces,
             rules,
@@ -524,18 +483,20 @@ pub fn compact_batch(
 pub use crate::par::Parallelism;
 
 /// Emits the cross constraints of one interface pair: spacing between
-/// A-side and B-side boxes, folded through the pitch term (paper Fig
-/// 6.3's edge replacement).
+/// cell A's boxes and cell B's boxes placed at `shift`, folded through
+/// the pitch term (paper Fig 6.3's edge replacement): with a free
+/// `pitch`, B's edges sit at `+λ`.
+#[allow(clippy::too_many_arguments)]
 fn append_cross_constraints(
     sys: &mut ConstraintSystem,
-    a_view: &[VBox],
-    b_view: &[VBox],
+    a: (&[(Layer, Rect)], &[BoxVars]),
+    b: (&[(Layer, Rect)], &[BoxVars]),
+    shift: Vector,
+    pitch: Option<PitchId>,
     rules: &DesignRules,
     par: Parallelism,
     scan: &mut ScanScratch,
-) -> Result<(), LeafError> {
-    let axis = sys.axis();
-    let all: Vec<VBox> = a_view.iter().chain(b_view).copied().collect();
+) {
     let ScanScratch {
         index,
         items,
@@ -543,106 +504,68 @@ fn append_cross_constraints(
         ..
     } = scan;
     items.clear();
-    items.extend(all.iter().map(|v| (v.layer, v.rect)));
-    let stale = index.rebuild_from_vec(std::mem::take(items), axis);
+    items.extend_from_slice(a.0);
+    items.extend(
+        b.0.iter()
+            .map(|&(layer, rect)| (layer, rect.translate(shift))),
+    );
+    let stale = index.rebuild_from_vec(std::mem::take(items), sys.axis());
     *items = stale;
-    let index: &GeomIndex<Layer> = index;
+    let split = a.0.len();
+    spacings.clear();
+    cross_pairs(index, split, rules, par, spacings);
 
-    let emit = |sys: &mut ConstraintSystem, from: &VBox, to: &VBox, w: i64| {
-        // x_to − x_from + (coeff_to − coeff_from)·λ ≥ w, where a box's
-        // pitch tag contributes +λ to its edge positions.
-        let from_var = from.right;
-        let to_var = to.left;
-        match (from.pitch, to.pitch) {
-            (None, None) => sys.require(from_var, to_var, w),
-            (Some(p), Some(q)) if p == q => sys.require(from_var, to_var, w),
-            (None, Some(p)) => sys.require_with_pitch(from_var, to_var, w, p, 1),
-            (Some(p), None) => sys.require_with_pitch(from_var, to_var, w, p, -1),
-            // One view carries at most one pitch (a_view is always
-            // untagged), so two distinct pitches on one constraint can
-            // only mean the views were built wrong.
-            (Some(_), Some(_)) => {
-                return Err(LeafError::Input(
-                    "cross constraint spans two distinct pitch variables".into(),
-                ))
-            }
-        }
-        Ok(())
-    };
-
-    // Spacing: a strictly below b along the axis, shared across-range,
-    // not hidden. Abutting same-layer cross boxes are connected material
-    // and get no spacing requirement (their relative position is
-    // governed by the pitch). The scan is a pure pair filter (the oracle
-    // is read-only behind per-worker cursors), so ranges of low boxes
-    // fan across workers; the collected pairs are emitted serially in
-    // the (i, j) order the serial loop would use, so the system — and
-    // any emission error — is bit-identical at every thread count.
-    let scan_range = |range: std::ops::Range<usize>, out: &mut Vec<(usize, usize, i64)>| {
-        let mut cursor = scanline::VisibilityCursor::new(index);
-        for i in range {
-            let a = &all[i];
-            for (j, b) in all.iter().enumerate() {
-                if i == j || (i < a_view.len()) == (j < a_view.len()) {
-                    continue;
-                }
-                let Some(spacing) = rules.min_spacing(a.layer, b.layer) else {
-                    continue;
-                };
-                if a.rect.hi_along(axis) > b.rect.lo_along(axis) {
-                    continue;
-                }
-                if a.rect.lo_across(axis) >= b.rect.hi_across(axis)
-                    || b.rect.lo_across(axis) >= a.rect.hi_across(axis)
-                {
-                    continue;
-                }
-                if a.layer == b.layer && a.rect.intersect(b.rect).is_some() {
-                    continue; // abutting/connected across the interface
-                }
-                if cursor.hidden_between(i, j) {
-                    continue;
-                }
-                out.push((i, j, spacing));
-            }
-        }
-    };
-    let threads = par.threads().min(all.len().max(1));
-    let pairs = spacings;
-    pairs.clear();
-    if threads <= 1 {
-        scan_range(0..all.len(), pairs);
-    } else {
-        let chunk = all.len().div_ceil(threads * 8).max(1);
-        let ranges: Vec<(usize, usize)> = (0..all.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(all.len())))
-            .collect();
-        let blocks = crate::par::par_map(&ranges, threads, |&(s, e)| {
-            let mut block = Vec::new();
-            scan_range(s..e, &mut block);
-            block
-        });
-        for (block, &(s, e)) in blocks.into_iter().zip(&ranges) {
-            match block {
-                Ok(mut b) => pairs.append(&mut b),
-                // The scan closure is panic-free; if a worker still
-                // died, recompute the range inline so any genuine panic
-                // surfaces on the caller's thread, as in serial.
-                Err(_) => scan_range(s..e, pairs),
+    let vars = |k: usize| if k < split { a.1[k] } else { b.1[k - split] };
+    for &(i, j, spacing) in spacings.iter() {
+        // x_j − x_i + (coeff_j − coeff_i)·λ ≥ w; every pair has one end
+        // on each side, so λ enters with +1 when `j` is B's and −1 when
+        // `i` is.
+        let (from, to) = (vars(i).right, vars(j).left);
+        match pitch {
+            None => sys.require(from, to, spacing),
+            Some(p) => {
+                let coeff = if j >= split { 1 } else { -1 };
+                sys.require_with_pitch(from, to, spacing, p, coeff);
             }
         }
     }
-    for &(i, j, spacing) in pairs.iter() {
-        emit(sys, &all[i], &all[j], spacing)?;
-    }
-    Ok(())
+}
+
+/// The spacing pairs `(i, j, spacing)` across one interface, whose
+/// `index` holds cell A's boxes first and the placed B boxes from
+/// `split` on: the shared visibility scan of [`scanline::scan_spacings`], keeping
+/// only pairs whose two boxes sit on different sides. Abutting
+/// same-layer cross boxes are connected material and get no spacing
+/// requirement (their relative position is governed by the pitch).
+/// Pairs come in (i, j) order at every thread count.
+fn cross_pairs(
+    index: &GeomIndex<Layer>,
+    split: usize,
+    rules: &DesignRules,
+    par: Parallelism,
+    out: &mut Vec<(usize, usize, i64)>,
+) {
+    let cross = |i: usize, j: usize| (i < split) != (j < split);
+    par_ranges(index.len(), par.threads(), out, |range, out| {
+        let mut cursor = VisibilityCursor::new(index);
+        scanline::scan_spacings(
+            index,
+            rules,
+            Some(&mut cursor),
+            range,
+            cross,
+            &mut Vec::new(),
+            out,
+        );
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{Balanced, BellmanFord, SimplexPitch};
+    use proptest::prelude::*;
+    use rsg_geom::Point;
     use rsg_layout::Technology;
 
     fn rules() -> DesignRules {
@@ -997,6 +920,95 @@ mod tests {
                 "{} failed a batch job",
                 backend.name()
             );
+        }
+    }
+
+    /// The all-pairs cross filter the leaf compactor ran before it shared
+    /// the flat spacing scan: the reference [`cross_pairs`] must match
+    /// pair for pair.
+    fn all_pairs_cross(
+        index: &GeomIndex<Layer>,
+        split: usize,
+        rules: &DesignRules,
+    ) -> Vec<(usize, usize, i64)> {
+        let all = index.items();
+        let axis = index.axis();
+        let mut cursor = VisibilityCursor::new(index);
+        let mut out = Vec::new();
+        for (i, &(la, a)) in all.iter().enumerate() {
+            for (j, &(lb, b)) in all.iter().enumerate() {
+                if i == j || (i < split) == (j < split) {
+                    continue;
+                }
+                let Some(spacing) = rules.min_spacing(la, lb) else {
+                    continue;
+                };
+                if a.hi_along(axis) > b.lo_along(axis) {
+                    continue;
+                }
+                if a.lo_across(axis) >= b.hi_across(axis) || b.lo_across(axis) >= a.hi_across(axis)
+                {
+                    continue;
+                }
+                if la == lb && a.intersect(b).is_some() {
+                    continue;
+                }
+                if cursor.hidden_between(i, j) {
+                    continue;
+                }
+                out.push((i, j, spacing));
+            }
+        }
+        out
+    }
+
+    /// Dense views on a coarse grid: zero-extent boxes (`w` or `h` 0),
+    /// overlapping and abutting same-layer boxes, and hidden pairs all
+    /// occur often.
+    fn arb_view() -> impl Strategy<Value = Vec<(Layer, Rect)>> {
+        const LAYERS: [Layer; 4] = [Layer::Poly, Layer::Diffusion, Layer::Metal1, Layer::Cut];
+        proptest::collection::vec((0i64..20, 0i64..12, 0i64..7, 0i64..6, 0usize..4), 0..14)
+            .prop_map(|seeds| {
+                seeds
+                    .into_iter()
+                    .map(|(x, y, w, h, l)| {
+                        let origin = Point::new(2 * x, 2 * y);
+                        (LAYERS[l], Rect::from_origin_size(origin, 2 * w, 2 * h))
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The shared scan yields exactly the retired all-pairs list for
+        /// an A view against a B view shifted by a pitch, on both axes
+        /// and at every thread count.
+        #[test]
+        fn cross_pairs_match_all_pairs_reference(
+            a in arb_view(),
+            b in arb_view(),
+            pitch in 0i64..40,
+            offset in -8i64..8,
+        ) {
+            let r = rules();
+            let shift = Vector::new(2 * pitch, 2 * offset);
+            let mut items = a.clone();
+            items.extend(b.iter().map(|&(l, rect)| (l, rect.translate(shift))));
+            for axis in Axis::BOTH {
+                let index = GeomIndex::build(&items, axis);
+                let want = all_pairs_cross(&index, a.len(), &r);
+                for par in [
+                    Parallelism::Serial,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(4),
+                ] {
+                    let mut got = Vec::new();
+                    cross_pairs(&index, a.len(), &r, par, &mut got);
+                    prop_assert_eq!(&got, &want, "{:?} on {}", par, axis);
+                }
+            }
         }
     }
 }

@@ -35,7 +35,7 @@
 //! sweep axis (edge coordinates that become variables) and *across* the
 //! perpendicular axis (frozen during the sweep).
 
-use crate::par::Parallelism;
+use crate::par::{par_ranges, Parallelism};
 use crate::scratch::{ScanScratch, SweepScratch};
 use crate::{ConstraintSystem, VarId};
 use rsg_geom::{Axis, CoverageProfile, GeomIndex, Rect};
@@ -87,29 +87,25 @@ pub fn generate(
     method: Method,
     axis: Axis,
 ) -> (ConstraintSystem, Vec<BoxVars>) {
-    generate_par(boxes, rules, method, axis, Parallelism::Serial)
+    generate_with(
+        boxes,
+        rules,
+        method,
+        axis,
+        Prune::Apply,
+        Parallelism::Serial,
+    )
 }
 
-/// [`generate`] with the spacing scan fanned across worker threads.
+/// [`generate`] with explicit [`Prune`] control and the spacing scan
+/// fanned across `par` workers.
 ///
-/// The emitted system is **bit-identical** to the serial one at any
-/// thread count: workers scan disjoint ranges of low boxes against the
-/// shared read-only index and their constraint blocks are appended in
-/// range order, reproducing the serial emission order exactly (the
-/// prune pass then runs serially over that shared list).
-pub fn generate_par(
-    boxes: &[(Layer, Rect)],
-    rules: &DesignRules,
-    method: Method,
-    axis: Axis,
-    par: Parallelism,
-) -> (ConstraintSystem, Vec<BoxVars>) {
-    generate_with(boxes, rules, method, axis, Prune::Apply, par)
-}
-
-/// [`generate_par`] with explicit [`Prune`] control — the entry point
-/// the pruning-equivalence tests and benches use to obtain the unpruned
-/// reference system.
+/// The emitted system is **bit-identical** at any thread count: workers
+/// scan disjoint ranges of low boxes against the shared read-only index
+/// and their constraint blocks are appended in range order, reproducing
+/// the serial emission order exactly (the prune pass then runs serially
+/// over that shared list). [`Prune::Keep`] gives the unpruned reference
+/// system the pruning-equivalence tests and benches compare against.
 pub fn generate_with(
     boxes: &[(Layer, Rect)],
     rules: &DesignRules,
@@ -149,45 +145,11 @@ pub(crate) fn generate_scratch(
     vars
 }
 
-/// Appends the width, connectivity, and spacing constraints for `boxes`
-/// (whose edge variables were already allocated as `vars`) into an
-/// existing system — the building block the leaf compactor reuses per
-/// cell. The sweep axis is taken from [`ConstraintSystem::axis`].
-pub fn append_constraints(
-    sys: &mut ConstraintSystem,
-    boxes: &[(Layer, Rect)],
-    vars: &[BoxVars],
-    rules: &DesignRules,
-    method: Method,
-) {
-    append_constraints_par(sys, boxes, vars, rules, method, Parallelism::Serial);
-}
-
-/// [`append_constraints`] with the spacing scan fanned across workers —
-/// see [`generate_par`] for the determinism contract.
-pub fn append_constraints_par(
-    sys: &mut ConstraintSystem,
-    boxes: &[(Layer, Rect)],
-    vars: &[BoxVars],
-    rules: &DesignRules,
-    method: Method,
-    par: Parallelism,
-) {
-    let mut scratch = ScanScratch::new();
-    append_constraints_with(
-        sys,
-        boxes,
-        vars,
-        rules,
-        method,
-        Prune::Apply,
-        par,
-        &mut scratch,
-    );
-}
-
-/// The full generator: width + connectivity + (pruned) spacing, drawing
-/// every buffer from `scratch`.
+/// Appends the width, connectivity, and (pruned) spacing constraints
+/// for `boxes`, whose edge variables were already allocated as `vars`,
+/// drawing every buffer from `scratch` — the building block the leaf
+/// compactor reuses per cell. The sweep axis is taken from
+/// [`ConstraintSystem::axis`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn append_constraints_with(
     sys: &mut ConstraintSystem,
@@ -253,22 +215,20 @@ pub(crate) fn append_constraints_with(
 
     // Spacing constraints. The visibility method consults the hidden-edge
     // oracle, which answers coverage queries from the shared index
-    // instead of rescanning every box per candidate pair. Each worker
-    // scans its own range of low boxes with a private oracle cursor; the
-    // per-range constraint lists are appended in range order, matching
-    // the serial (i, j) emission order exactly.
+    // instead of rescanning every box per candidate pair. Serially the
+    // oracle reuses the arena's profile cache; in parallel each range
+    // gets a private cursor.
     spacings.clear();
-    let threads = par.threads().min(boxes.len().max(1));
+    let threads = par.threads();
     if threads <= 1 {
         let mut cursor = (method == Method::Visibility)
             .then(|| VisibilityCursor::with_cache(index, std::mem::take(profiles)));
         scan_spacings(
-            boxes,
-            rules,
-            axis,
             index,
+            rules,
             cursor.as_mut(),
             0..boxes.len(),
+            all_pairs,
             cand,
             spacings,
         );
@@ -276,51 +236,19 @@ pub(crate) fn append_constraints_with(
             *profiles = c.into_cache();
         }
     } else {
-        let chunk = boxes.len().div_ceil(threads * 8).max(1);
-        let ranges: Vec<(usize, usize)> = (0..boxes.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(boxes.len())))
-            .collect();
-        let index_ref: &GeomIndex<Layer> = index;
-        let blocks = crate::par::par_map(&ranges, threads, |&(s, e)| {
-            let mut block = Vec::new();
-            let mut buf = Vec::new();
-            let mut cursor =
-                (method == Method::Visibility).then(|| VisibilityCursor::new(index_ref));
+        let index: &GeomIndex<Layer> = index;
+        par_ranges(boxes.len(), threads, spacings, |range, out| {
+            let mut cursor = (method == Method::Visibility).then(|| VisibilityCursor::new(index));
             scan_spacings(
-                boxes,
+                index,
                 rules,
-                axis,
-                index_ref,
                 cursor.as_mut(),
-                s..e,
-                &mut buf,
-                &mut block,
+                range,
+                all_pairs,
+                &mut Vec::new(),
+                out,
             );
-            block
         });
-        for (block, &(s, e)) in blocks.into_iter().zip(&ranges) {
-            match block {
-                Ok(mut b) => spacings.append(&mut b),
-                // The scan is panic-free; if a worker still died,
-                // recompute the range inline so any genuine panic
-                // surfaces on the caller's thread, as in serial.
-                Err(_) => {
-                    let mut cursor =
-                        (method == Method::Visibility).then(|| VisibilityCursor::new(index_ref));
-                    scan_spacings(
-                        boxes,
-                        rules,
-                        axis,
-                        index_ref,
-                        cursor.as_mut(),
-                        s..e,
-                        cand,
-                        spacings,
-                    );
-                }
-            }
-        }
     }
 
     if prune == Prune::Apply {
@@ -331,19 +259,31 @@ pub(crate) fn append_constraints_with(
     }
 }
 
-/// Collects `(i, j, spacing)` triples for low boxes in `range`, in the
-/// historical (i ascending, j ascending) emission order.
-#[allow(clippy::too_many_arguments)]
-fn scan_spacings(
-    boxes: &[(Layer, Rect)],
-    rules: &DesignRules,
-    axis: Axis,
+/// The pair filter of a flat scan: every partner counts.
+fn all_pairs(_: usize, _: usize) -> bool {
+    true
+}
+
+/// Collects `(i, j, spacing)` triples for low boxes `i` in `range` over
+/// the items of `index`, in (i ascending, j ascending) order: `j` lies
+/// strictly beyond `i` along the axis on an interacting layer, shares
+/// an across range with it, is not connected material, is not hidden
+/// (when a `cursor` is given), and passes `pair(i, j)`.
+///
+/// This is the one spacing scan: the flat generator runs it with every
+/// pair kept, and the leaf compactor's cross scan keeps only the pairs
+/// whose two boxes sit in different cells of an interface.
+pub(crate) fn scan_spacings(
     index: &GeomIndex<Layer>,
+    rules: &DesignRules,
     mut cursor: Option<&mut VisibilityCursor<'_>>,
     range: std::ops::Range<usize>,
+    pair: impl Fn(usize, usize) -> bool,
     cand: &mut Vec<(usize, i64)>,
     out: &mut Vec<(usize, usize, i64)>,
 ) {
+    let boxes = index.items();
+    let axis = index.axis();
     for i in range {
         let (layer_a, ra) = boxes[i];
         let from = ra.hi_along(axis);
@@ -357,7 +297,7 @@ fn scan_spacings(
             // `a`'s high edge), sharing an across-axis range: exactly the
             // bucket walk's membership test at slack 0.
             for k in index.ordered_after(layer_b, from, i64::MAX, across, 0) {
-                if k != i {
+                if k != i && pair(i, k) {
                     cand.push((k, spacing));
                 }
             }

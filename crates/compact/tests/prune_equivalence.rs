@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, HierOptions};
-use rsg_compact::leaf::{compact_limited_par, compact_limited_unpruned, LeafInterface, PitchKind};
+use rsg_compact::leaf::{compact_limited, compact_limited_unpruned, LeafInterface, PitchKind};
 use rsg_compact::limits::Limits;
 use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate_with, Method, Prune};
@@ -119,7 +119,7 @@ proptest! {
                 name: "aa".into(),
             },
         ];
-        let pruned = compact_limited_par(
+        let pruned = compact_limited(
             &cells, &interfaces, &rules, &BellmanFord::SORTED, &Limits::NONE,
             Parallelism::Serial,
         );

@@ -14,7 +14,12 @@
 //! item runs under `catch_unwind`, the panic payload is captured as a
 //! typed [`WorkerPanic`] for that slot, and every other item still
 //! completes. Callers decide whether one bad item fails the batch.
+//!
+//! [`par_ranges`] is the one range fan-out built on it: the spacing
+//! scans and the DRC sweep split their box list into contiguous index
+//! ranges and get back exactly the output of one serial pass.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -41,7 +46,9 @@ impl std::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload: the string it carried, or a
+/// fixed placeholder for non-string payloads.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -65,7 +72,7 @@ where
 {
     catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| WorkerPanic {
         index,
-        message: payload_message(payload),
+        message: panic_message(payload),
     })
 }
 
@@ -142,6 +149,45 @@ where
         .collect()
 }
 
+/// Runs `f` over contiguous ranges covering `0..len` on up to `threads`
+/// workers, appending each range's output to `out` in range order.
+///
+/// `f(range, out)` must append exactly what the range contributes and
+/// depend on nothing but the range, so the final `out` equals what the
+/// single inline call `f(0..len, out)` leaves — which is what runs when
+/// `threads <= 1` or `len <= 1`. The ranges are `⌈len / 8·threads⌉`
+/// long, more than there are workers, so one dense range cannot
+/// serialize the batch. A range whose worker panicked is recomputed
+/// inline, so a genuine panic surfaces on the caller's thread, as it
+/// would serially.
+pub fn par_ranges<T, F>(len: usize, threads: usize, out: &mut Vec<T>, f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut Vec<T>) + Sync,
+{
+    let threads = threads.min(len);
+    if threads <= 1 {
+        f(0..len, out);
+        return;
+    }
+    let chunk = len.div_ceil(threads * 8);
+    let ranges: Vec<Range<usize>> = (0..len)
+        .step_by(chunk)
+        .map(|s| s..(s + chunk).min(len))
+        .collect();
+    let blocks = par_map(&ranges, threads, |range| {
+        let mut block = Vec::new();
+        f(range.clone(), &mut block);
+        block
+    });
+    for (block, range) in blocks.into_iter().zip(ranges) {
+        match block {
+            Ok(mut block) => out.append(&mut block),
+            Err(_) => f(range, out),
+        }
+    }
+}
+
 /// Worker count for [`Parallelism::Auto`]: the machine's available
 /// parallelism (1 when it cannot be determined).
 pub fn auto_threads() -> usize {
@@ -200,6 +246,57 @@ mod tests {
         assert_eq!(Parallelism::Threads(3).threads(), 3);
         assert_eq!(Parallelism::Threads(0).threads(), 1);
         assert!(Parallelism::Auto.threads() >= 1);
+    }
+
+    /// Appends `i²` for every index of the range.
+    fn squares(range: Range<usize>, out: &mut Vec<usize>) {
+        out.extend(range.map(|i| i * i));
+    }
+
+    /// Appends 0, 1 or 2 items per index, so some ranges add nothing.
+    fn uneven(range: Range<usize>, out: &mut Vec<usize>) {
+        for i in range {
+            out.extend((0..i % 3).map(|k| 3 * i + k));
+        }
+    }
+
+    #[test]
+    fn par_ranges_equals_one_inline_call() {
+        type Fill = fn(Range<usize>, &mut Vec<usize>);
+        for f in [squares as Fill, uneven] {
+            for len in [0, 1, 7, 1000] {
+                let mut inline = vec![usize::MAX];
+                f(0..len, &mut inline);
+                for threads in [1, 2, 4, 9] {
+                    // `out` keeps what it held before the call.
+                    let mut out = vec![usize::MAX];
+                    par_ranges(len, threads, &mut out, f);
+                    assert_eq!(out, inline, "len {len}, threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad range (on caller: true)")]
+    fn par_ranges_panic_surfaces_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut out = Vec::new();
+        par_ranges(
+            1000,
+            4,
+            &mut out,
+            |range: Range<usize>, out: &mut Vec<usize>| {
+                // Only the inline retry on the calling thread may panic out;
+                // the workers' panic on the same range is caught by
+                // `par_map`. Reaching the caller therefore proves the retry.
+                if range.contains(&500) {
+                    let here = std::thread::current().id();
+                    panic!("bad range (on caller: {})", here == caller);
+                }
+                squares(range, out);
+            },
+        );
     }
 
     #[test]

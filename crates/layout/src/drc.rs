@@ -17,7 +17,7 @@
 //! identical order.
 
 use crate::{DesignRules, FlatLayout, Layer};
-use rsg_geom::par::{par_map, Parallelism};
+use rsg_geom::par::{par_ranges, Parallelism};
 use rsg_geom::{GeomIndex, Rect};
 use std::fmt;
 
@@ -81,44 +81,37 @@ impl fmt::Display for Violation {
 /// Builds a [`GeomIndex`] and sweeps it; when a prebuilt index already
 /// exists (a [`FlatLayout`]), use [`check_flat`] to skip the build.
 pub fn check(boxes: &[(Layer, Rect)], rules: &DesignRules) -> Vec<Violation> {
-    check_indexed(&GeomIndex::build(boxes, rsg_geom::Axis::X), rules)
+    sweep(
+        &GeomIndex::build(boxes, rsg_geom::Axis::X),
+        rules,
+        Parallelism::Serial,
+    )
 }
 
 /// [`check`] against a [`FlatLayout`], reusing its prebuilt index.
 pub fn check_flat(flat: &FlatLayout, rules: &DesignRules) -> Vec<Violation> {
-    check_indexed(flat.index(), rules)
+    sweep(flat.index(), rules, Parallelism::Serial)
+}
+
+/// [`check_flat`] with the spacing sweep fanned across worker threads.
+/// The violation list is **bit-identical** to [`check_flat`] at any
+/// thread count.
+pub fn check_flat_par(flat: &FlatLayout, rules: &DesignRules, par: Parallelism) -> Vec<Violation> {
+    sweep(flat.index(), rules, par)
 }
 
 /// The sweep checker proper: every box queries the index for neighbours
 /// on each interacting layer within L∞ distance of the rule; any pair
 /// violating does so within that window, because the spacing gap is the
 /// L∞ gap, so the query filter is exact.
-pub fn check_indexed(index: &GeomIndex<Layer>, rules: &DesignRules) -> Vec<Violation> {
-    check_indexed_par(index, rules, Parallelism::Serial)
-}
-
-/// [`check_flat`] with the sweep fanned across worker threads — the
-/// per-box neighbour scans are independent, so ranges of box indices
-/// run on separate workers and the range results concatenate in index
-/// order. The violation list is **bit-identical** to [`check_flat`]
-/// at any thread count.
-pub fn check_flat_par(flat: &FlatLayout, rules: &DesignRules, par: Parallelism) -> Vec<Violation> {
-    check_indexed_par(flat.index(), rules, par)
-}
-
-/// [`check_indexed`] with the spacing sweep fanned across workers.
 ///
 /// Widths are a single cheap pass and stay serial; the spacing scan —
-/// the dominant cost — splits the box list into contiguous index
-/// ranges, each producing its violation block independently against
-/// the shared read-only index. Blocks are concatenated in range order,
-/// so the output order (by `a`, then `b`) matches the serial sweep and
-/// the pairwise referee exactly.
-pub fn check_indexed_par(
-    index: &GeomIndex<Layer>,
-    rules: &DesignRules,
-    par: Parallelism,
-) -> Vec<Violation> {
+/// the dominant cost — runs over contiguous ranges of box indices
+/// through [`par_ranges`], each range producing its violation block
+/// against the shared read-only index. Blocks join in range order, so
+/// the output order (by `a`, then `b`) matches the serial sweep and the
+/// pairwise referee exactly.
+fn sweep(index: &GeomIndex<Layer>, rules: &DesignRules, par: Parallelism) -> Vec<Violation> {
     let boxes = index.items();
     let mut out = Vec::new();
     for (i, &(layer, rect)) in boxes.iter().enumerate() {
@@ -137,32 +130,9 @@ pub fn check_indexed_par(
         }
     }
     let labels: Vec<Layer> = index.labels().collect();
-    let threads = par.threads().min(boxes.len().max(1));
-    if threads <= 1 {
-        spacing_sweep(index, rules, &labels, 0..boxes.len(), &mut out);
-        return out;
-    }
-    // More ranges than workers so one dense region cannot serialize the
-    // batch; each range yields its block, concatenated in range order.
-    let chunk = boxes.len().div_ceil(threads * 8).max(1);
-    let ranges: Vec<(usize, usize)> = (0..boxes.len())
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(boxes.len())))
-        .collect();
-    let blocks = par_map(&ranges, threads, |&(s, e)| {
-        let mut block = Vec::new();
-        spacing_sweep(index, rules, &labels, s..e, &mut block);
-        block
+    par_ranges(boxes.len(), par.threads(), &mut out, |range, out| {
+        spacing_sweep(index, rules, &labels, range, out);
     });
-    for (block, &(s, e)) in blocks.into_iter().zip(&ranges) {
-        match block {
-            Ok(mut b) => out.append(&mut b),
-            // The sweep closure is panic-free; if a worker still died,
-            // recompute the range inline so the serial semantics (and
-            // any genuine panic) surface on the caller's thread.
-            Err(_) => spacing_sweep(index, rules, &labels, s..e, &mut out),
-        }
-    }
     out
 }
 

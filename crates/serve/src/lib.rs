@@ -54,5 +54,5 @@ pub use metrics::{LatencyHistogram, ServeMetrics};
 pub use payload::{
     Artifact, JobKind, ServeReport, ServedBinding, ServedConstraint, ServedPitch, ServedResult,
 };
-pub use queue::{JobId, JobOutput, JobQueue, JobSpec, JobStatus, ServeConfig, SolverChoice};
+pub use queue::{JobId, JobOutput, JobQueue, JobSpec, JobStatus, ServeConfig};
 pub use store::{chip_key, library_key, Store, StoreCounters, StoreKey, SweepOutcome};

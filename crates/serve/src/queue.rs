@@ -16,10 +16,11 @@ use crate::payload::{
     Artifact, JobKind, ServeReport, ServedBinding, ServedConstraint, ServedPitch, ServedResult,
 };
 use crate::store::{chip_key, library_key, Store, StoreKey};
-use rsg_compact::backend::{Balanced, BellmanFord, SimplexPitch, Solver, Topological};
+use rsg_compact::backend::{BellmanFord, Solver};
 use rsg_compact::hier::{ChipCompaction, HierOptions};
 use rsg_compact::incremental::CompactSession;
 use rsg_compact::leaf::{self, CompactionResult, LibraryJob, PitchBinding};
+use rsg_compact::par::panic_message;
 use rsg_layout::{write_cif, write_rsgl, CellId, CellTable, DesignRules};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -35,49 +36,20 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The solver backends the service can run. A plain enum instead of a
-/// trait object so the choice is `Copy`, hashable into nothing (the
-/// *name* is what the store key folds), and constructible in config
-/// files later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverChoice {
-    /// [`BellmanFord::SORTED`] — the deterministic default.
-    #[default]
-    BellmanFordSorted,
-    /// [`BellmanFord::ARBITRARY`] — insertion-order relaxation.
-    BellmanFordArbitrary,
-    /// [`Topological`] — acyclic-first longest path.
-    Topological,
-    /// [`Balanced`] — slack-splitting placement.
-    Balanced,
-    /// [`SimplexPitch`] — LP relaxation for the pitch variables.
-    SimplexPitch,
-}
+/// The solver every queue runs. Its name is folded into every store
+/// key.
+const SOLVER: BellmanFord = BellmanFord::SORTED;
 
-impl SolverChoice {
-    /// The backend instance (all backends are stateless unit values).
-    pub fn solver(self) -> &'static dyn Solver {
-        match self {
-            SolverChoice::BellmanFordSorted => &BellmanFord::SORTED,
-            SolverChoice::BellmanFordArbitrary => &BellmanFord::ARBITRARY,
-            SolverChoice::Topological => &Topological,
-            SolverChoice::Balanced => &Balanced,
-            SolverChoice::SimplexPitch => &SimplexPitch,
-        }
-    }
-}
-
-/// Queue configuration. The rules/solver/options triple is fixed per
-/// queue — it is part of every store key, so one queue serves one solve
-/// context and distinct contexts never alias.
+/// Queue configuration. The rules and options are fixed per queue and,
+/// with the [`BellmanFord::SORTED`] solver every queue runs, are part of
+/// every store key, so one queue serves one solve context and distinct
+/// contexts never alias.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
     /// Design rules every job is solved under.
     pub rules: DesignRules,
-    /// Solver backend.
-    pub solver: SolverChoice,
     /// Hierarchical-compaction options (the deadline inside
     /// [`HierOptions::limits`] applies per job but never enters keys).
     pub opts: HierOptions,
@@ -89,13 +61,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: auto worker count, [`SolverChoice::BellmanFordSorted`],
-    /// default [`HierOptions`], verify off.
+    /// Defaults: auto worker count, default [`HierOptions`], verify off.
     pub fn new(rules: DesignRules) -> ServeConfig {
         ServeConfig {
             workers: 0,
             rules,
-            solver: SolverChoice::default(),
             opts: HierOptions::default(),
             verify: false,
         }
@@ -168,7 +138,6 @@ struct Shared {
     store: Mutex<Store>,
     metrics: Mutex<ServeMetrics>,
     rules: DesignRules,
-    solver: SolverChoice,
     opts: HierOptions,
     verify: bool,
 }
@@ -206,7 +175,6 @@ impl JobQueue {
             store: Mutex::new(store),
             metrics: Mutex::new(ServeMetrics::default()),
             rules: config.rules,
-            solver: config.solver,
             opts: config.opts,
             verify: config.verify,
         });
@@ -312,16 +280,6 @@ impl Drop for JobQueue {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     let mut session = CompactSession::new();
     loop {
@@ -372,7 +330,7 @@ fn run_job(
     session: &mut CompactSession,
     spec: &JobSpec,
 ) -> Result<Finished, ServeError> {
-    let solver_name = shared.solver.solver().name();
+    let solver_name = SOLVER.name();
     let lookup_started = Instant::now();
     let key = match spec {
         JobSpec::Library(job) => library_key(job, &shared.rules, solver_name, &shared.opts),
@@ -451,11 +409,11 @@ fn solve_spec(
 ) -> Result<ServedResult, ServeError> {
     match spec {
         JobSpec::Library(job) => {
-            let result = leaf::compact_limited_par(
+            let result = leaf::compact_limited(
                 &job.cells,
                 &job.interfaces,
                 &shared.rules,
-                shared.solver.solver(),
+                &SOLVER,
                 &shared.opts.limits,
                 shared.opts.parallelism,
             )?;
@@ -471,7 +429,7 @@ fn solve_spec(
                 *top,
                 library,
                 &shared.rules,
-                shared.solver.solver(),
+                &SOLVER,
                 &shared.opts,
             )?;
             render_chip(&out)
